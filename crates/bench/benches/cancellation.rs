@@ -83,7 +83,9 @@ fn write_json(cases: &[Case]) {
 fn bench_cancellation(c: &mut Criterion) {
     let dataset = papers_like(2_000, 31);
     let budget = 4 * dataset.num_classes;
-    let service = Arc::new(GrainService::new());
+    // No greedy trace cache: every case must run (and cancel) greedy,
+    // not replay the priming request's run.
+    let service = Arc::new(GrainService::new().with_trace_capacity(0));
     service
         .register_graph("papers", dataset.graph.clone(), dataset.features.clone())
         .expect("corpus registers");

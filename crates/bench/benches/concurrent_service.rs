@@ -49,7 +49,9 @@ fn bench_batched_vs_serial(c: &mut Criterion) {
     let budget = 2 * dataset.num_classes;
     // Per-shard capacity covers the full fingerprint set, so the
     // warm-path premise holds for any key→shard hash placement.
-    let service = GrainService::with_topology(8, FINGERPRINTS);
+    // No greedy trace cache: each request runs greedy, the unit of work
+    // this bench spreads over threads.
+    let service = GrainService::with_topology(8, FINGERPRINTS).with_trace_capacity(0);
     service
         .register_graph("papers", dataset.graph.clone(), dataset.features.clone())
         .expect("corpus registers");

@@ -180,7 +180,10 @@ fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
     let mut loads: Vec<Duration> = Vec::with_capacity(load_samples);
     let mut restarted: Option<GrainService> = None;
     for _ in 0..load_samples {
+        // No greedy trace cache: the warm hit times greedy over warm
+        // artifacts, as in the committed baseline.
         let service = GrainService::with_capacity(2)
+            .with_trace_capacity(0)
             .with_artifact_store(scratch.path())
             .expect("store reopens");
         service

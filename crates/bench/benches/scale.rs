@@ -262,7 +262,9 @@ fn bench_scale(c: &mut Criterion) {
 
     // One service, one engine per rung: capacity comfortably above the
     // ladder so residency accounting in the JSON reflects every rung.
-    let service = GrainService::with_capacity(2 * ladder.len().max(1));
+    // No greedy trace cache: warm-select latency is greedy over warm
+    // artifacts, not a replay of the previous sample.
+    let service = GrainService::with_capacity(2 * ladder.len().max(1)).with_trace_capacity(0);
     let mut cases: Vec<Case> = Vec::new();
     for &n in &ladder {
         run_rung(&service, c, n, &mut cases);

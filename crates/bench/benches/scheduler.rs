@@ -89,7 +89,9 @@ fn write_json(cases: &[Case]) {
 fn bench_scheduler(c: &mut Criterion) {
     let dataset = papers_like(2_000, 31);
     let budget = 2 * dataset.num_classes;
-    let service = Arc::new(GrainService::new());
+    // No greedy trace cache: the naive storm pays one greedy run per
+    // request, which is what coalescing is measured against.
+    let service = Arc::new(GrainService::new().with_trace_capacity(0));
     service
         .register_graph("papers", dataset.graph.clone(), dataset.features.clone())
         .expect("corpus registers");

@@ -1,5 +1,6 @@
 //! `edge_loadgen` — open-loop load generator for the serving edge,
-//! emitting `results/BENCH_edge.json`.
+//! emitting `results/BENCH_edge.json` (or `BENCH_edge_pools.json` for the
+//! distinct-pools mix).
 //!
 //! Drives two tenants (gold, weight 10; bronze, weight 1) through real
 //! sockets at a ladder of offered rates, one stage per rate. Senders
@@ -23,20 +24,41 @@
 //! `--stage-secs N` (default 2), `--deadline-ms N` (default 200),
 //! `--distinct N` (budgets cycled in the request mix, default 4 —
 //! small = duplicate-heavy/coalescing-bound, large = compute-bound),
-//! `--seed N`, `--fast` (shrinks everything for smoke runs).
+//! `--mix budgets|pools` (default `budgets`: every request selects from
+//! the whole train split; `pools`: every request carries its own seeded
+//! random half of it at budget 64, so neither coalescing nor the greedy
+//! trace cache can reuse work — report both), `--seed N`, `--fast`
+//! (shrinks everything for smoke runs).
 
 use grain_bench::cli::Flags;
 use grain_core::cancel::OnDeadline;
 use grain_core::edge::proto::{self, Frame, WireRequest, CODE_RATE_LIMITED};
 use grain_core::edge::{EdgeClient, EdgeConfig, EdgeServer, TenantSpec};
-use grain_core::{Budget, GrainConfig, GrainService, SchedulerConfig, SelectionRequest};
+use grain_core::{
+    Budget, GrainConfig, GrainService, SchedulerConfig, SelectionRequest, TraceStats,
+};
 use grain_data::synthetic::papers_like;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const TENANTS: [&str; 2] = ["gold", "bronze"];
+
+/// Budget of every request in the `pools` mix.
+const POOL_BUDGET: usize = 64;
+
+/// Which request stream the tenants send.
+#[derive(Clone, Copy, PartialEq)]
+enum Mix {
+    /// The whole train split, `distinct` budgets cycled.
+    Budgets,
+    /// A fresh random half of the train split per request, one budget.
+    Pools,
+}
 
 #[derive(Clone, Default)]
 struct TenantOutcome {
@@ -97,30 +119,40 @@ impl StageResult {
     }
 }
 
-/// The request mix: `distinct` budgets cycled round-robin. Small values
-/// make the traffic duplicate-heavy (every `distinct`-th request is an
-/// exact duplicate, so the scheduler's coalescing gets real wire traffic
-/// to merge and the edge saturates on transport, not compute); large
-/// values defeat coalescing and saturate the scheduler itself, which is
-/// where queue-full and deadline shedding appear.
+/// The `i`-th request of a tenant. Under [`Mix::Budgets`], `distinct`
+/// budgets cycle round-robin over one pool. Small values make the traffic
+/// duplicate-heavy (every `distinct`-th request is an exact duplicate, so
+/// the scheduler's coalescing gets real wire traffic to merge and the
+/// edge saturates on transport, not compute); large values defeat
+/// coalescing and saturate the scheduler itself, which is where
+/// queue-full and deadline shedding appear — though every budget up to
+/// the longest one served is then a greedy trace replay. [`Mix::Pools`]
+/// gives each request its own seeded half of the pool, which defeats
+/// both.
 fn request_for(
     i: u64,
     tenant_seed: u64,
+    mix: Mix,
     distinct: u64,
     base_budget: usize,
     candidates: &[u32],
 ) -> SelectionRequest {
-    SelectionRequest::new(
-        "papers",
-        GrainConfig::ball_d(),
-        Budget::Fixed(base_budget + (i % distinct) as usize),
-    )
-    .with_candidates(candidates.to_vec())
-    // The seed is part of the coalesce key (results are unaffected):
-    // tagging each tenant's traffic with its own seed keeps duplicate
-    // suppression *within* a tenant but stops tenants from riding each
-    // other's slots, so per-tenant shed/goodput numbers are honest.
-    .with_seed(tenant_seed)
+    let (budget, pool) = match mix {
+        Mix::Budgets => (base_budget + (i % distinct) as usize, candidates.to_vec()),
+        Mix::Pools => {
+            let mut pool = candidates.to_vec();
+            pool.shuffle(&mut StdRng::seed_from_u64(tenant_seed << 32 | i));
+            pool.truncate(candidates.len() / 2);
+            (POOL_BUDGET, pool)
+        }
+    };
+    SelectionRequest::new("papers", GrainConfig::ball_d(), Budget::Fixed(budget))
+        .with_candidates(pool)
+        // The seed is part of the coalesce key (results are unaffected):
+        // tagging each tenant's traffic with its own seed keeps duplicate
+        // suppression *within* a tenant but stops tenants from riding each
+        // other's slots, so per-tenant shed/goodput numbers are honest.
+        .with_seed(tenant_seed)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -130,6 +162,7 @@ fn run_tenant_stage(
     rate_rps: u64,
     stage: Duration,
     deadline_ms: u32,
+    mix: Mix,
     distinct: u64,
     base_budget: usize,
     candidates: Arc<Vec<u32>>,
@@ -212,7 +245,7 @@ fn run_tenant_stage(
             priority: 0,
             deadline_ms,
             on_deadline: OnDeadline::Fail,
-            request: request_for(i, tenant_seed, distinct, base_budget, &candidates),
+            request: request_for(i, tenant_seed, mix, distinct, base_budget, &candidates),
         }));
         if proto::write_frame(&mut stream, &frame).is_err() {
             in_flight.lock().unwrap().remove(&request_id);
@@ -231,16 +264,35 @@ fn run_tenant_stage(
 fn write_json(
     nodes: usize,
     deadline_ms: u32,
+    mix: Mix,
     distinct: u64,
     stages: &[StageResult],
     saturation: &StageResult,
+    traces: Option<TraceStats>,
 ) {
     let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
     let mut body = String::from("{\n  \"bench\": \"edge\",\n");
     body.push_str(&format!("  \"corpus_nodes\": {nodes},\n"));
     body.push_str(&format!("  \"deadline_ms\": {deadline_ms},\n"));
-    body.push_str(&format!("  \"distinct_requests_in_mix\": {distinct},\n"));
+    match mix {
+        Mix::Budgets => {
+            body.push_str("  \"mix\": \"budgets\",\n");
+            body.push_str(&format!("  \"distinct_requests_in_mix\": {distinct},\n"));
+        }
+        Mix::Pools => {
+            body.push_str("  \"mix\": \"pools\",\n");
+            body.push_str(&format!("  \"budget\": {POOL_BUDGET},\n"));
+        }
+    }
     body.push_str("  \"tenant_weights\": {\"gold\": 10, \"bronze\": 1},\n");
+    if let Some(traces) = traces {
+        // Selections that ran greedy vs replayed a cached run: the share
+        // of this mix the greedy trace cache could serve.
+        body.push_str(&format!(
+            "  \"greedy_runs\": {}, \"trace_replays\": {},\n",
+            traces.runs, traces.replays
+        ));
+    }
     body.push_str("  \"stages\": [\n");
     for (s, stage) in stages.iter().enumerate() {
         body.push_str(&format!(
@@ -302,7 +354,11 @@ fn write_json(
         saturation.pooled_percentile(0.99),
     ));
     if std::fs::create_dir_all(&dir).is_ok() {
-        let path = format!("{dir}/BENCH_edge.json");
+        let name = match mix {
+            Mix::Budgets => "BENCH_edge.json",
+            Mix::Pools => "BENCH_edge_pools.json",
+        };
+        let path = format!("{dir}/{name}");
         match std::fs::write(&path, body) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
@@ -329,6 +385,11 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(4)
         .max(1);
+    let mix = match flags.get("mix").unwrap_or("budgets") {
+        "budgets" => Mix::Budgets,
+        "pools" => Mix::Pools,
+        other => panic!("--mix must be budgets or pools, got {other:?}"),
+    };
     let rates: Vec<u64> = flags
         .get("rates")
         .map(|csv| {
@@ -348,8 +409,8 @@ fn main() {
     let dataset = papers_like(nodes, flags.seed);
     let base_budget = 2 * dataset.num_classes;
     let candidates = Arc::new(dataset.split.train.clone());
+    let service = Arc::new(GrainService::new());
     let embedded = if flags.get("addr").is_none() {
-        let service = Arc::new(GrainService::new());
         service
             .register_graph("papers", dataset.graph.clone(), dataset.features.clone())
             .expect("corpus registers");
@@ -378,7 +439,7 @@ fn main() {
             scheduler: SchedulerConfig::default(),
             ..EdgeConfig::default()
         };
-        Some(EdgeServer::bind("127.0.0.1:0", service, config).expect("edge binds"))
+        Some(EdgeServer::bind("127.0.0.1:0", Arc::clone(&service), config).expect("edge binds"))
     } else {
         None
     };
@@ -391,14 +452,18 @@ fn main() {
     // the store/persistence benches' story, not the serving edge's).
     if let Ok(mut client) = EdgeClient::connect(addr, "gold", "") {
         let _ = client.request(
-            request_for(0, 0, distinct, base_budget, &candidates),
+            request_for(0, 0, mix, distinct, base_budget, &candidates),
             grain_core::edge::client::RequestOptions::default(),
         );
     }
 
     println!(
         "edge loadgen: target {addr}, corpus n={nodes}, stages {rates:?} rps/tenant × {stage_secs}s, \
-         deadline {deadline_ms}ms, {distinct} distinct requests in the mix"
+         deadline {deadline_ms}ms, {} mix",
+        match mix {
+            Mix::Budgets => format!("{distinct}-budget"),
+            Mix::Pools => format!("distinct-pool (budget {POOL_BUDGET})"),
+        }
     );
     let stage = Duration::from_secs(stage_secs);
     let mut results: Vec<StageResult> = Vec::new();
@@ -415,6 +480,7 @@ fn main() {
                         rate,
                         stage,
                         deadline_ms,
+                        mix,
                         distinct,
                         base_budget,
                         candidates,
@@ -450,6 +516,25 @@ fn main() {
         .iter()
         .max_by(|a, b| a.goodput_rps().total_cmp(&b.goodput_rps()))
         .expect("at least one stage");
-    write_json(nodes, deadline_ms, distinct, &results, saturation);
+    let traces = embedded.as_ref().and_then(|_| {
+        let (engine, _) = service.engine("papers", &GrainConfig::ball_d()).ok()?;
+        let stats = engine.lock().trace_stats();
+        println!(
+            "greedy runs {}, trace replays {} ({:.1} % replayed)",
+            stats.runs,
+            stats.replays,
+            100.0 * stats.replays as f64 / (stats.runs + stats.replays).max(1) as f64
+        );
+        Some(stats)
+    });
+    write_json(
+        nodes,
+        deadline_ms,
+        mix,
+        distinct,
+        &results,
+        saturation,
+        traces,
+    );
     drop(embedded);
 }

@@ -179,7 +179,9 @@ impl ServedCorpus {
         config: GrainConfig,
         budget: usize,
     ) -> (GrainService, SelectionRequest) {
-        let service = GrainService::new();
+        // No greedy trace cache: the warm figure times greedy itself, not
+        // a replay of the cold request's run.
+        let service = GrainService::new().with_trace_capacity(0);
         service
             .register_graph(
                 &self.name,

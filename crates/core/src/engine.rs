@@ -20,6 +20,18 @@
 //! a budget sweep, a γ/θ sensitivity scan, or a serving loop answering
 //! many selection requests over one corpus pays the heavy stages once.
 //!
+//! Greedy itself is reused too. Its picks do not depend on the budget
+//! (a run at budget `b` is a prefix of any longer run), so the engine
+//! keeps its last few complete runs — the **greedy trace cache**, keyed by
+//! [`GrainConfig::selection_fingerprint`] and the exact candidate pool.
+//! A request whose budget fits in a cached run is answered by replaying
+//! that run's first picks ([`crate::greedy::replay_ctl`]): `O(budget)`
+//! objective updates, no marginal-gain evaluations, and a bit-identical
+//! outcome (`selected`, `objective_trace`, `sigma`, `diversity_value`,
+//! `evaluations`). A longer budget runs greedy again and replaces the
+//! entry. A budget sweep is one run at its largest budget plus a slice
+//! per budget.
+//!
 //! The artifact hot paths (propagation SpMM rounds, influence rows, the
 //! activation-index inversion, ball lists, NN `d_max`) run over
 //! [`GrainConfig::parallelism`] worker threads with row-range
@@ -32,7 +44,7 @@ use crate::config::{DiversityKind, GrainConfig, GrainVariant, GreedyAlgorithm};
 use crate::diversity::{BallDiversity, DiversityFunction, NnDiversity, NullDiversity};
 use crate::error::{DeadlineStage, GrainError, GrainResult};
 use crate::fault;
-use crate::greedy::{lazy_greedy_ctl, plain_greedy_ctl};
+use crate::greedy::{lazy_greedy_ctl, plain_greedy_ctl, replay_ctl, GreedyTrace};
 use crate::objective::{DimObjective, DiversityScope};
 use crate::prune::prune_candidates;
 use crate::selector::{Completion, SelectionOutcome, SelectionTimings};
@@ -40,12 +52,154 @@ use grain_graph::{transition_matrix, transition_rows, CsrMatrix, Graph, Transiti
 use grain_influence::{ActivationIndex, InfluenceRows, ThetaRule};
 use grain_linalg::{distance, DenseMatrix};
 use grain_prop::cache::PropagationCache;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Exact-`d_max` cutoff for NN diversity; beyond this row count the constant
 /// is estimated by anchor sampling (see `grain-linalg::distance`).
 pub(crate) const NN_DMAX_EXACT_LIMIT: usize = 2048;
+
+/// How many complete greedy runs each engine keeps for replay unless
+/// [`SelectionEngine::set_trace_capacity`] says otherwise.
+pub const DEFAULT_TRACE_CAPACITY: usize = 8;
+
+/// Counters of the greedy trace cache ([`SelectionEngine::trace_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TraceStats {
+    /// Greedy runs executed: misses, and budgets longer than the cached
+    /// run for their pool.
+    pub runs: usize,
+    /// Requests answered by replaying a cached run.
+    pub replays: usize,
+    /// Runs currently cached.
+    pub entries: usize,
+}
+
+/// One complete (uncancelled) greedy run, kept for replay.
+struct CachedRun {
+    /// Selection fingerprint of the config, variant override applied.
+    fingerprint: String,
+    /// The candidate pool exactly as requested, before pruning.
+    candidates: Vec<u32>,
+    /// Pool size after pruning: what budgets clamp to.
+    pool_len: usize,
+    /// The run stopped before its budget, so it picked every distinct
+    /// candidate and answers any budget.
+    exhausted: bool,
+    trace: GreedyTrace,
+}
+
+/// The greedy trace cache: up to `capacity` runs, most recently used last.
+struct TraceCache {
+    runs: Vec<CachedRun>,
+    capacity: usize,
+    stats: TraceStats,
+}
+
+impl TraceCache {
+    fn new(capacity: usize) -> Self {
+        Self {
+            runs: Vec::new(),
+            capacity,
+            stats: TraceStats::default(),
+        }
+    }
+
+    /// Position of the cached run for `(fingerprint, candidates)` that
+    /// answers every budget in `budgets`, marked most recently used.
+    fn lookup(
+        &mut self,
+        fingerprint: &str,
+        candidates: &[u32],
+        budgets: &[usize],
+    ) -> Option<usize> {
+        let pos = self
+            .runs
+            .iter()
+            .position(|r| r.fingerprint == fingerprint && r.candidates == candidates)?;
+        let run = self.runs.remove(pos);
+        let longest = budgets
+            .iter()
+            .map(|&b| b.min(run.pool_len))
+            .max()
+            .unwrap_or(0);
+        let covers = run.exhausted || longest <= run.trace.selected.len();
+        self.runs.push(run);
+        covers.then_some(self.runs.len() - 1)
+    }
+
+    /// Caches `run`, replacing any run for the same key and evicting the
+    /// least recently used one beyond capacity.
+    fn insert(&mut self, run: CachedRun) {
+        self.runs
+            .retain(|r| r.fingerprint != run.fingerprint || r.candidates != run.candidates);
+        self.runs.push(run);
+        self.set_capacity(self.capacity);
+    }
+
+    /// Drops the least recently used runs beyond `capacity`.
+    fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity;
+        let excess = self.runs.len().saturating_sub(capacity);
+        self.runs.drain(..excess);
+    }
+
+    fn stats(&self) -> TraceStats {
+        TraceStats {
+            entries: self.runs.len(),
+            ..self.stats
+        }
+    }
+}
+
+/// `σ(S)` and `D(S)` captured as the pick count passes each requested
+/// budget, plus the final state.
+struct Snapshots {
+    wanted: Vec<usize>,
+    taken: Vec<(usize, Vec<u32>, f64)>,
+}
+
+impl Snapshots {
+    fn new(wanted: Vec<usize>) -> Self {
+        Self {
+            wanted,
+            taken: Vec::new(),
+        }
+    }
+
+    /// Captures `objective` if its pick count is wanted (or `always`) and
+    /// not captured yet.
+    fn take<D: DiversityFunction>(&mut self, objective: &DimObjective<'_, D>, always: bool) {
+        let k = objective.seeds().len();
+        if (always || self.wanted.contains(&k)) && !self.taken.iter().any(|t| t.0 == k) {
+            self.taken
+                .push((k, objective.sigma(), objective.diversity_value()));
+        }
+    }
+
+    /// Whether a wanted pick count below `picks` is still missing.
+    fn missing_below(&self, picks: usize) -> bool {
+        self.wanted
+            .iter()
+            .any(|&k| k < picks && !self.taken.iter().any(|t| t.0 == k))
+    }
+
+    /// The capture at pick count `k`, moved out on its `last_use`.
+    fn at(&mut self, k: usize, last_use: bool) -> (Vec<u32>, f64) {
+        let pos = self
+            .taken
+            .iter()
+            .position(|t| t.0 == k)
+            .expect("every answered pick count was captured");
+        if last_use {
+            let (_, sigma, d) = self.taken.swap_remove(pos);
+            (sigma, d)
+        } else {
+            (self.taken[pos].1.clone(), self.taken[pos].2)
+        }
+    }
+}
 
 /// Wall-clock breakdown of one `SelectionEngine::patched` migration —
 /// what each artifact's incremental repair cost, surfaced per engine in
@@ -186,6 +340,7 @@ pub struct SelectionEngine {
     index: Option<((KernelKey, u32, usize, ThetaRule), ActivationIndex)>,
     balls: BallCache,
     nn_dmax: Option<(KernelKey, f32)>,
+    traces: TraceCache,
     stats: EngineStats,
 }
 
@@ -226,6 +381,7 @@ impl SelectionEngine {
             index: None,
             balls: None,
             nn_dmax: None,
+            traces: TraceCache::new(DEFAULT_TRACE_CAPACITY),
             stats: EngineStats::default(),
         })
     }
@@ -394,6 +550,19 @@ impl SelectionEngine {
         self.stats
     }
 
+    /// Greedy trace cache counters.
+    pub fn trace_stats(&self) -> TraceStats {
+        self.traces.stats()
+    }
+
+    /// Sets how many complete greedy runs this engine keeps for replay,
+    /// dropping the least recently used beyond it. `0` turns the cache
+    /// off: every request runs greedy, as timing studies of the greedy
+    /// stage need.
+    pub fn set_trace_capacity(&mut self, capacity: usize) {
+        self.traces.set_capacity(capacity);
+    }
+
     /// Exact resident heap bytes of every currently cached artifact —
     /// the measurement seam for size-aware pool accounting. Not-yet-built
     /// artifacts count zero, so a cold engine reports all zeros and the
@@ -484,7 +653,9 @@ impl SelectionEngine {
     /// effective budget (see [`SelectionOutcome::effective_budget`]).
     ///
     /// An untripped token changes no bit of the result relative to
-    /// [`SelectionEngine::select_variant`].
+    /// [`SelectionEngine::select_variant`]. A request answered from the
+    /// greedy trace cache crosses the same greedy checkpoints as the run
+    /// it replays, so a trip yields the same prefix either way.
     ///
     /// # Panics
     /// Panics if a candidate id is out of range.
@@ -496,6 +667,55 @@ impl SelectionEngine {
         cancel: &CancelToken,
         on_deadline: OnDeadline,
     ) -> GrainResult<SelectionOutcome> {
+        let mut outcomes =
+            self.select_budgets_with_cancel(variant, candidates, &[budget], cancel, on_deadline)?;
+        Ok(outcomes.pop().expect("one budget answers one outcome"))
+    }
+
+    /// Runs one warm budget sweep: one greedy run at the largest budget
+    /// (or a replay of a cached one), each budget answered by its prefix.
+    /// Selections are bit-identical to independent one-shot runs at the
+    /// same budgets.
+    pub fn select_budgets(
+        &mut self,
+        candidates: &[u32],
+        budgets: &[usize],
+    ) -> Vec<SelectionOutcome> {
+        self.select_budgets_with_cancel(
+            self.config.variant,
+            candidates,
+            budgets,
+            &CancelToken::new(),
+            OnDeadline::Fail,
+        )
+        .expect("a selection with an untripped token cannot be cancelled")
+    }
+
+    /// [`SelectionEngine::select_budgets`] with a variant override under
+    /// cooperative cancellation — the one selection path every other
+    /// `select*` method goes through.
+    ///
+    /// Outcomes come back in `budgets` order, each bit-identical to
+    /// [`SelectionEngine::select_with_cancel`] at its budget. A trip
+    /// mid-greedy under [`OnDeadline::Partial`] answers every budget the
+    /// committed prefix covers in full, the next budget in order with
+    /// that prefix as a [`Completion::Partial`] outcome, and drops the
+    /// rest. Work shared by the sweep (artifact stages, the greedy run)
+    /// is charged to the first outcome's timings.
+    ///
+    /// # Panics
+    /// Panics if a candidate id is out of range.
+    pub fn select_budgets_with_cancel(
+        &mut self,
+        variant: GrainVariant,
+        candidates: &[u32],
+        budgets: &[usize],
+        cancel: &CancelToken,
+        on_deadline: OnDeadline,
+    ) -> GrainResult<Vec<SelectionOutcome>> {
+        if budgets.is_empty() {
+            return Ok(Vec::new());
+        }
         for &c in candidates {
             assert!(
                 (c as usize) < self.graph.num_nodes(),
@@ -519,81 +739,143 @@ impl SelectionEngine {
         let t2 = Instant::now();
         self.ensure_index_ctl(cancel)?;
         self.ensure_embedding();
-        let diversity = self.build_diversity(variant, cancel)?;
-        // §3.4 candidate pruning is per-pool, not a cached artifact.
-        let rows = &self.rows.as_ref().expect("rows ensured").1;
-        let pool: Vec<u32> = match self.config.prune {
-            Some(strategy) => prune_candidates(strategy, &self.graph, rows, candidates),
-            None => candidates.to_vec(),
-        };
+        self.ensure_diversity(variant, cancel)?;
         let indexing = t2.elapsed();
 
         // 4. Greedy DIM maximization (Algorithm 1 / CELF) — the only stage
         // that depends on budget and variant, and the only stage that may
-        // degrade to a partial (anytime) result instead of failing.
+        // degrade to a partial (anytime) result instead of failing. Picks
+        // do not depend on the budget, so one run (or one replay of a
+        // cached run) at the longest budget answers every budget.
         let t3 = Instant::now();
         cancel.checkpoint()?;
-        let (scope, magnitude_weight, gamma) = variant_parameters(variant, self.config.gamma);
-        let index = &self.index.as_ref().expect("index ensured").1;
-        let mut objective =
-            DimObjective::with_variant(index, diversity, gamma, magnitude_weight, scope);
-        let check_every = self.config.cancel_check_every;
-        let trace = match self.config.algorithm {
-            GreedyAlgorithm::Plain => {
-                plain_greedy_ctl(&mut objective, &pool, budget, cancel, check_every)
-            }
-            GreedyAlgorithm::Lazy => {
-                lazy_greedy_ctl(&mut objective, &pool, budget, cancel, check_every)
+        let fingerprint = GrainConfig {
+            variant,
+            ..self.config
+        }
+        .selection_fingerprint();
+        let hit = self.traces.lookup(&fingerprint, candidates, budgets);
+        // §3.4 candidate pruning is per-pool, not a cached artifact. A
+        // replay needs no pool: the cached run knows its pruned size.
+        let (pool, pool_len): (Cow<'_, [u32]>, usize) = match (hit, self.config.prune) {
+            (Some(pos), _) => (Cow::Borrowed(&[]), self.traces.runs[pos].pool_len),
+            (None, None) => (Cow::Borrowed(candidates), candidates.len()),
+            (None, Some(strategy)) => {
+                let rows = &self.rows.as_ref().expect("rows ensured").1;
+                let pool = prune_candidates(strategy, &self.graph, rows, candidates);
+                let len = pool.len();
+                (Cow::Owned(pool), len)
             }
         };
-        let greedy = t3.elapsed();
-
-        let completion = match trace.cancelled {
-            None => Completion::Complete,
-            Some(CancelCause::Deadline) if on_deadline == OnDeadline::Partial => {
-                Completion::Partial {
-                    cause: CancelCause::Deadline,
-                }
-            }
-            Some(CancelCause::Deadline) => {
-                return Err(GrainError::DeadlineExceeded {
-                    stage: DeadlineStage::MidSelection,
+        let counts: Vec<usize> = budgets.iter().map(|&b| b.min(pool_len)).collect();
+        let longest = counts.iter().copied().max().unwrap_or(0);
+        let mut snapshots = Snapshots::new(counts.clone());
+        let mut objective = self.objective(variant);
+        snapshots.take(&objective, false);
+        let trace = match hit {
+            Some(pos) => {
+                let checkpoints = Some((
+                    self.config.algorithm,
+                    cancel,
+                    self.config.cancel_check_every,
+                ));
+                let run = &self.traces.runs[pos].trace;
+                replay_ctl(&mut objective, run, longest, checkpoints, |o| {
+                    snapshots.take(o, false)
                 })
             }
-            Some(CancelCause::Caller) => return Err(GrainError::Cancelled),
+            None => {
+                let check_every = self.config.cancel_check_every;
+                match self.config.algorithm {
+                    GreedyAlgorithm::Plain => {
+                        plain_greedy_ctl(&mut objective, &pool, longest, cancel, check_every)
+                    }
+                    GreedyAlgorithm::Lazy => {
+                        lazy_greedy_ctl(&mut objective, &pool, longest, cancel, check_every)
+                    }
+                }
+            }
         };
+        snapshots.take(&objective, true);
+        if snapshots.missing_below(trace.selected.len()) {
+            // A sweep's shorter budgets after a run: replay it once more,
+            // capturing σ(S) and D(S) on the way.
+            let mut again = self.objective(variant);
+            replay_ctl(&mut again, &trace, trace.selected.len(), None, |o| {
+                snapshots.take(o, false)
+            });
+        }
+        let greedy = t3.elapsed();
 
-        self.stats.selections += 1;
-        Ok(SelectionOutcome {
-            sigma: objective.sigma(),
-            diversity_value: objective.diversity_value(),
-            selected: trace.selected,
-            objective_trace: trace.objective_trace,
-            evaluations: trace.evaluations,
-            candidates_after_prune: pool.len(),
-            completion,
-            timings: SelectionTimings {
-                propagation,
-                influence,
-                indexing,
-                greedy,
-                total: t0.elapsed(),
-            },
-        })
-    }
+        let picked = trace.selected.len();
+        let mut outcomes = Vec::with_capacity(budgets.len());
+        for (i, &want) in counts.iter().enumerate() {
+            let k = want.min(picked);
+            let completion = match trace.cancelled {
+                None => Completion::Complete,
+                // The committed prefix answers this budget in full.
+                Some(_) if want < trace.evaluations_at.len() => Completion::Complete,
+                Some(CancelCause::Deadline) if on_deadline == OnDeadline::Partial => {
+                    Completion::Partial {
+                        cause: CancelCause::Deadline,
+                    }
+                }
+                Some(CancelCause::Deadline) => {
+                    return Err(GrainError::DeadlineExceeded {
+                        stage: DeadlineStage::MidSelection,
+                    })
+                }
+                Some(CancelCause::Caller) => return Err(GrainError::Cancelled),
+            };
+            let evaluations = match completion {
+                Completion::Complete => trace.evaluations_at[k],
+                Completion::Partial { .. } => trace.evaluations,
+            };
+            let last_use = !counts[i + 1..].iter().any(|&w| w.min(picked) == k);
+            let (sigma, diversity_value) = snapshots.at(k, last_use);
+            let timings = if i == 0 {
+                SelectionTimings {
+                    propagation,
+                    influence,
+                    indexing,
+                    greedy,
+                    total: t0.elapsed(),
+                }
+            } else {
+                SelectionTimings::default()
+            };
+            outcomes.push(SelectionOutcome {
+                selected: trace.selected[..k].to_vec(),
+                objective_trace: trace.objective_trace[..k].to_vec(),
+                sigma,
+                diversity_value,
+                evaluations,
+                candidates_after_prune: pool_len,
+                completion,
+                replayed: hit.is_some(),
+                timings,
+            });
+            if completion != Completion::Complete {
+                break; // the token stays tripped; later budgets cannot run
+            }
+        }
 
-    /// Runs one warm budget sweep: `select` at each budget in turn, all
-    /// sharing the cached artifacts. Selections are bit-identical to
-    /// independent one-shot runs at the same budgets.
-    pub fn select_budgets(
-        &mut self,
-        candidates: &[u32],
-        budgets: &[usize],
-    ) -> Vec<SelectionOutcome> {
-        budgets
-            .iter()
-            .map(|&b| self.select(candidates, b))
-            .collect()
+        self.stats.selections += outcomes.len();
+        if hit.is_some() {
+            self.traces.stats.replays += 1;
+        } else {
+            self.traces.stats.runs += 1;
+            if trace.cancelled.is_none() && self.traces.capacity > 0 {
+                self.traces.insert(CachedRun {
+                    fingerprint,
+                    candidates: candidates.to_vec(),
+                    pool_len,
+                    exhausted: picked < longest,
+                    trace,
+                });
+            }
+        }
+        Ok(outcomes)
     }
 
     /// The L2-normalized rows of `X^(k)` under the active kernel (built
@@ -766,6 +1048,8 @@ impl SelectionEngine {
             index,
             balls: None,
             nn_dmax: None,
+            // Runs over the old corpus answer nothing on the new one.
+            traces: TraceCache::new(self.traces.capacity),
             stats,
         };
         (engine, timings)
@@ -925,37 +1209,55 @@ impl SelectionEngine {
         Ok(())
     }
 
-    /// A fresh per-selection diversity state over the cached precompute
-    /// (greedy consumes diversity state, so each call copies only the
-    /// incremental state; the precompute itself is `Arc`-shared).
-    fn build_diversity(
-        &mut self,
+    /// Builds the diversity precompute `variant` needs, unless cached.
+    fn ensure_diversity(&mut self, variant: GrainVariant, cancel: &CancelToken) -> GrainResult<()> {
+        match diversity_kind(variant, self.config.diversity) {
+            None => Ok(()),
+            Some(DiversityKind::Ball) => self.ensure_balls(cancel),
+            Some(DiversityKind::Nn) => self.ensure_nn_dmax(cancel),
+        }
+    }
+
+    /// A fresh DIM objective for `variant` over the cached index and
+    /// diversity precompute (greedy consumes objective state, so each
+    /// call copies only the incremental state; the precompute itself is
+    /// `Arc`-shared). Every stage must be ensured.
+    fn objective(
+        &self,
         variant: GrainVariant,
-        cancel: &CancelToken,
-    ) -> GrainResult<Box<dyn DiversityFunction + Send>> {
-        let kind = match variant {
-            GrainVariant::NoDiversity => return Ok(Box::new(NullDiversity)),
-            // Both seed-scoped ablations are defined on ball coverage.
-            GrainVariant::NoMagnitude | GrainVariant::ClassicCoverage => DiversityKind::Ball,
-            GrainVariant::Full => self.config.diversity,
-        };
-        Ok(match kind {
-            DiversityKind::Ball => {
-                self.ensure_balls(cancel)?;
-                let (balls, bound) = self.balls.as_ref().expect("balls ensured").1.clone();
-                Box::new(BallDiversity::from_shared_with_bound(
-                    balls,
-                    self.graph.num_nodes(),
-                    bound,
-                ))
-            }
-            DiversityKind::Nn => {
-                self.ensure_nn_dmax(cancel)?;
-                let dmax = self.nn_dmax.as_ref().expect("dmax ensured").1;
-                let embedding = Arc::clone(&self.embedding.as_ref().expect("embedding ensured").1);
-                Box::new(NnDiversity::from_parts(embedding, dmax))
-            }
-        })
+    ) -> DimObjective<'_, Box<dyn DiversityFunction + Send>> {
+        let diversity: Box<dyn DiversityFunction + Send> =
+            match diversity_kind(variant, self.config.diversity) {
+                None => Box::new(NullDiversity),
+                Some(DiversityKind::Ball) => {
+                    let (balls, bound) = self.balls.as_ref().expect("balls ensured").1.clone();
+                    Box::new(BallDiversity::from_shared_with_bound(
+                        balls,
+                        self.graph.num_nodes(),
+                        bound,
+                    ))
+                }
+                Some(DiversityKind::Nn) => {
+                    let dmax = self.nn_dmax.as_ref().expect("dmax ensured").1;
+                    let embedding =
+                        Arc::clone(&self.embedding.as_ref().expect("embedding ensured").1);
+                    Box::new(NnDiversity::from_parts(embedding, dmax))
+                }
+            };
+        let (scope, magnitude_weight, gamma) = variant_parameters(variant, self.config.gamma);
+        let index = &self.index.as_ref().expect("index ensured").1;
+        DimObjective::with_variant(index, diversity, gamma, magnitude_weight, scope)
+    }
+}
+
+/// The diversity function `variant` maximizes under `configured`, or
+/// `None` when it has no diversity term.
+fn diversity_kind(variant: GrainVariant, configured: DiversityKind) -> Option<DiversityKind> {
+    match variant {
+        GrainVariant::NoDiversity => None,
+        // Both seed-scoped ablations are defined on ball coverage.
+        GrainVariant::NoMagnitude | GrainVariant::ClassicCoverage => Some(DiversityKind::Ball),
+        GrainVariant::Full => Some(configured),
     }
 }
 

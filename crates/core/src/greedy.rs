@@ -5,8 +5,17 @@
 //! candidate's cached gain from an earlier round upper-bounds its current
 //! gain, so the top of a max-heap can be accepted as soon as its cached
 //! gain is fresh — identical output, far fewer evaluations.
+//!
+//! Neither algorithm looks at the budget before it stops: a run at budget
+//! `b` is the first `b` picks of a run at any larger budget. A complete
+//! [`GreedyTrace`] therefore answers every smaller budget, and
+//! [`replay_ctl`] turns it back into the exact trace a fresh run at that
+//! budget would return — evaluation count, cancellation checkpoints and
+//! fault sites included — by re-adding the picks instead of re-evaluating
+//! candidates.
 
 use crate::cancel::{CancelCause, CancelToken};
+use crate::config::GreedyAlgorithm;
 use crate::fault;
 use crate::objective::MarginalObjective;
 
@@ -19,6 +28,12 @@ pub struct GreedyTrace {
     pub objective_trace: Vec<f64>,
     /// Number of marginal-gain evaluations performed.
     pub evaluations: usize,
+    /// `evaluations_at[i]` is the evaluation count a run at budget `i`
+    /// reports: the count when pick `i` was committed, and at index 0 the
+    /// count before the first pick (CELF seeds its heap first). One entry
+    /// per budget this run answers in full — `selected.len() + 1`, or
+    /// empty for a CELF run cancelled while seeding.
+    pub evaluations_at: Vec<usize>,
     /// `Some(cause)` if the run stopped early at a cooperative
     /// cancellation checkpoint. The picks made so far are byte-for-byte
     /// a prefix of the uncancelled run: checkpoints sit at round
@@ -66,6 +81,8 @@ pub fn plain_greedy_ctl(
     let mut selected = Vec::with_capacity(budget);
     let mut trace = Vec::with_capacity(budget);
     let mut evaluations = 0;
+    let mut evaluations_at = Vec::with_capacity(budget + 1);
+    evaluations_at.push(0);
     let mut cancelled = None;
     'rounds: for _ in 0..budget {
         fault::point("greedy.round", Some(cancel));
@@ -101,11 +118,13 @@ pub fn plain_greedy_ctl(
         objective.add(chosen);
         selected.push(chosen);
         trace.push(objective.value());
+        evaluations_at.push(evaluations);
     }
     GreedyTrace {
         selected,
         objective_trace: trace,
         evaluations,
+        evaluations_at,
         cancelled,
     }
 }
@@ -189,6 +208,10 @@ pub fn lazy_greedy_ctl(
     }
     let mut selected = Vec::with_capacity(budget);
     let mut trace = Vec::with_capacity(budget);
+    let mut evaluations_at = Vec::with_capacity(budget + 1);
+    if cancelled.is_none() {
+        evaluations_at.push(evaluations);
+    }
     let mut round = 0usize;
     while cancelled.is_none() && selected.len() < budget {
         let Some(top) = heap.pop() else { break };
@@ -204,6 +227,7 @@ pub fn lazy_greedy_ctl(
             objective.add(c);
             selected.push(c);
             trace.push(objective.value());
+            evaluations_at.push(evaluations);
             round += 1;
         } else {
             let c = (-top.neg_id) as u32;
@@ -226,8 +250,115 @@ pub fn lazy_greedy_ctl(
         selected,
         objective_trace: trace,
         evaluations,
+        evaluations_at,
         cancelled,
     }
+}
+
+/// Replays the first `budget` picks of `run` into a fresh `objective`
+/// instead of re-running greedy, calling `on_pick` after each commit.
+///
+/// `run` must be a trace of the same objective over the same candidates,
+/// and `budget` (already clamped to the candidate count) must not exceed
+/// its length unless the run completed and exhausted its candidates.
+/// The result is then bit-identical to what [`plain_greedy_ctl`] or
+/// [`lazy_greedy_ctl`] would return at `budget`: picks, objective trace
+/// (the same `add`s in the same order), and evaluation count, read from
+/// [`GreedyTrace::evaluations_at`]. Only the `add`s run — `O(budget)`
+/// commits, no marginal-gain evaluations.
+///
+/// With `checkpoints = Some((algorithm, cancel, check_every))` the replay
+/// also crosses every cancellation checkpoint and fault site the original
+/// run crossed before its `budget`-th commit, in the same order and at
+/// the same evaluation counts, so a token or armed fault that would have
+/// stopped that run stops the replay at the same prefix. `None` crosses
+/// nothing (a replay of work that has just run).
+pub fn replay_ctl<O: MarginalObjective>(
+    objective: &mut O,
+    run: &GreedyTrace,
+    budget: usize,
+    checkpoints: Option<(GreedyAlgorithm, &CancelToken, usize)>,
+    mut on_pick: impl FnMut(&O),
+) -> GreedyTrace {
+    debug_assert!(
+        run.cancelled.is_none() || budget <= run.selected.len(),
+        "a cancelled run answers only its own prefix"
+    );
+    let at = &run.evaluations_at;
+    let picks = budget.min(run.selected.len());
+    let mut out = GreedyTrace {
+        selected: Vec::with_capacity(picks),
+        objective_trace: Vec::with_capacity(picks),
+        evaluations: 0,
+        evaluations_at: Vec::with_capacity(picks + 1),
+        cancelled: None,
+    };
+    // Crosses the eval-block checkpoints at every multiple of
+    // `check_every` in `(from, to]`; `Some(count)` on a trip.
+    let blocks = |from: usize, to: usize| -> Option<(usize, CancelCause)> {
+        let (_, cancel, check_every) = checkpoints?;
+        let check_every = check_every.max(1);
+        let mut m = (from / check_every + 1).saturating_mul(check_every);
+        while m <= to {
+            fault::point("greedy.eval.block", Some(cancel));
+            if let Some(cause) = cancel.cause() {
+                return Some((m, cause));
+            }
+            m = m.saturating_add(check_every);
+        }
+        None
+    };
+    let round = || -> Option<CancelCause> {
+        let (_, cancel, _) = checkpoints?;
+        fault::point("greedy.round", Some(cancel));
+        cancel.cause()
+    };
+    let stop = |mut out: GreedyTrace, evaluations: usize, cause: CancelCause| {
+        out.evaluations = evaluations;
+        out.cancelled = Some(cause);
+        out
+    };
+    let plain = matches!(checkpoints, Some((GreedyAlgorithm::Plain, _, _)));
+    if !plain {
+        // CELF seeds its heap before the first round.
+        if let Some((m, cause)) = blocks(0, at[0]) {
+            return stop(out, m, cause);
+        }
+    }
+    out.evaluations_at.push(at[0]);
+    for i in 1..=picks {
+        if plain {
+            // Plain greedy checks at the top of a round, then scans.
+            if let Some(cause) = round() {
+                return stop(out, at[i - 1], cause);
+            }
+            if let Some((m, cause)) = blocks(at[i - 1], at[i]) {
+                return stop(out, m, cause);
+            }
+        } else {
+            // CELF re-evaluates stale entries, then checks before the commit.
+            if let Some((m, cause)) = blocks(at[i - 1], at[i]) {
+                return stop(out, m, cause);
+            }
+            if let Some(cause) = round() {
+                return stop(out, at[i], cause);
+            }
+        }
+        let c = run.selected[i - 1];
+        objective.add(c);
+        out.selected.push(c);
+        out.objective_trace.push(objective.value());
+        out.evaluations_at.push(at[i]);
+        on_pick(&*objective);
+    }
+    if plain && budget > picks {
+        // An exhausted plain run opens one more round and finds nothing.
+        if let Some(cause) = round() {
+            return stop(out, at[picks], cause);
+        }
+    }
+    out.evaluations = at[picks];
+    out
 }
 
 #[cfg(test)]
@@ -400,6 +531,185 @@ mod tests {
         }
         fn value(&self) -> f64 {
             self.inner.value()
+        }
+    }
+
+    /// A seeded weighted-coverage instance big enough that CELF re-evaluates
+    /// stale entries and some candidates tie.
+    fn random_cover(seed: u64, candidates: usize, elements: usize) -> Cover {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let sets = (0..candidates)
+            .map(|_| (0..next(6)).map(|_| next(elements)).collect())
+            .collect();
+        let weights = (0..elements).map(|_| (1 + next(4)) as f64).collect();
+        Cover::new(sets, weights)
+    }
+
+    fn run(
+        algorithm: GreedyAlgorithm,
+        obj: &mut impl MarginalObjective,
+        cands: &[u32],
+        budget: usize,
+        cancel: &CancelToken,
+        check_every: usize,
+    ) -> GreedyTrace {
+        match algorithm {
+            GreedyAlgorithm::Plain => plain_greedy_ctl(obj, cands, budget, cancel, check_every),
+            GreedyAlgorithm::Lazy => lazy_greedy_ctl(obj, cands, budget, cancel, check_every),
+        }
+    }
+
+    #[test]
+    fn evaluations_at_reports_what_each_shorter_budget_would() {
+        let cands: Vec<u32> = (0..30).collect();
+        for algorithm in [GreedyAlgorithm::Plain, GreedyAlgorithm::Lazy] {
+            let full = run(
+                algorithm,
+                &mut random_cover(3, 30, 40),
+                &cands,
+                30,
+                &CancelToken::new(),
+                1024,
+            );
+            assert_eq!(full.evaluations_at.len(), full.selected.len() + 1);
+            for budget in 0..=full.selected.len() {
+                let short = run(
+                    algorithm,
+                    &mut random_cover(3, 30, 40),
+                    &cands,
+                    budget,
+                    &CancelToken::new(),
+                    1024,
+                );
+                assert_eq!(
+                    short.evaluations, full.evaluations_at[budget],
+                    "{algorithm:?} b={budget}"
+                );
+                assert_eq!(
+                    short.evaluations_at,
+                    full.evaluations_at[..=budget],
+                    "{algorithm:?} b={budget}"
+                );
+                assert_eq!(
+                    short.selected,
+                    full.selected[..budget],
+                    "{algorithm:?} b={budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replay_is_bit_identical_to_a_fresh_run_at_every_budget() {
+        for seed in 0..6u64 {
+            // Duplicates in the pool: the clamp uses the raw length, the
+            // run the distinct ids, so over-long budgets exhaust.
+            let mut cands: Vec<u32> = (0..24).collect();
+            cands.extend([3, 5, 5]);
+            for algorithm in [GreedyAlgorithm::Plain, GreedyAlgorithm::Lazy] {
+                let source = run(
+                    algorithm,
+                    &mut random_cover(seed, 24, 30),
+                    &cands,
+                    cands.len(),
+                    &CancelToken::new(),
+                    1024,
+                );
+                for budget in 0..=cands.len() {
+                    let fresh = run(
+                        algorithm,
+                        &mut random_cover(seed, 24, 30),
+                        &cands,
+                        budget,
+                        &CancelToken::new(),
+                        1024,
+                    );
+                    let mut picked = 0;
+                    let replay = replay_ctl(
+                        &mut random_cover(seed, 24, 30),
+                        &source,
+                        budget,
+                        None,
+                        |_| picked += 1,
+                    );
+                    assert_eq!(replay, fresh, "{algorithm:?} seed={seed} b={budget}");
+                    assert_eq!(picked, fresh.selected.len());
+                }
+            }
+        }
+    }
+
+    /// Trips `token` when the `trip_after`-th seed is added — `add` runs
+    /// in a replay as in a run, so both see the trip at the same point.
+    struct TripOnAdd<'a> {
+        inner: Cover,
+        token: &'a CancelToken,
+        trip_after: usize,
+        adds: usize,
+    }
+    impl MarginalObjective for TripOnAdd<'_> {
+        fn marginal_gain(&mut self, c: u32) -> f64 {
+            self.inner.marginal_gain(c)
+        }
+        fn add(&mut self, c: u32) {
+            self.adds += 1;
+            if self.adds == self.trip_after {
+                self.token.cancel();
+            }
+            self.inner.add(c)
+        }
+        fn value(&self) -> f64 {
+            self.inner.value()
+        }
+    }
+
+    #[test]
+    fn replay_crosses_the_same_checkpoints_as_the_run() {
+        let cands: Vec<u32> = (0..24).collect();
+        for algorithm in [GreedyAlgorithm::Plain, GreedyAlgorithm::Lazy] {
+            let source = run(
+                algorithm,
+                &mut random_cover(9, 24, 30),
+                &cands,
+                24,
+                &CancelToken::new(),
+                1024,
+            );
+            for check_every in [1usize, 2, 3, 7, 1024] {
+                for trip_after in 0..=source.selected.len() + 1 {
+                    for budget in [trip_after.saturating_sub(1), trip_after, 24] {
+                        let trip = |token| TripOnAdd {
+                            inner: random_cover(9, 24, 30),
+                            token,
+                            trip_after,
+                            adds: 0,
+                        };
+                        let (a, b) = (CancelToken::new(), CancelToken::new());
+                        if trip_after == 0 {
+                            a.cancel();
+                            b.cancel();
+                        }
+                        let fresh = run(algorithm, &mut trip(&a), &cands, budget, &a, check_every);
+                        let replay = replay_ctl(
+                            &mut trip(&b),
+                            &source,
+                            budget,
+                            Some((algorithm, &b, check_every)),
+                            |_| {},
+                        );
+                        assert_eq!(
+                            replay, fresh,
+                            "{algorithm:?} every={check_every} trip={trip_after} b={budget}"
+                        );
+                    }
+                }
+            }
         }
     }
 

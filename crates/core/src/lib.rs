@@ -86,7 +86,7 @@ pub mod streaming;
 pub use cancel::{CancelCause, CancelToken, OnDeadline};
 pub use config::{DiversityKind, GrainConfig, GrainVariant, GreedyAlgorithm, PruneStrategy};
 pub use edge::{EdgeClient, EdgeConfig, EdgeServer, EdgeStats, TenantSpec, TokenBucket};
-pub use engine::{ArtifactBytes, EngineStats, PatchTimings, SelectionEngine};
+pub use engine::{ArtifactBytes, EngineStats, PatchTimings, SelectionEngine, TraceStats};
 pub use error::{DeadlineStage, GrainError, GrainResult};
 pub use objective::DimObjective;
 pub use retry::RetryPolicy;

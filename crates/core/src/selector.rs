@@ -86,6 +86,10 @@ pub struct SelectionOutcome {
     pub timings: SelectionTimings,
     /// Whether the run completed or degraded to an anytime prefix.
     pub completion: Completion,
+    /// The picks were replayed from the engine's greedy trace cache
+    /// instead of a greedy run. Every other field is bit-identical either
+    /// way except `timings`; `evaluations` counts the replayed run's.
+    pub replayed: bool,
 }
 
 impl SelectionOutcome {

@@ -46,10 +46,10 @@
 //! to the pool, and `tests/concurrent_service.rs` extends it across
 //! threads.
 
-use crate::cancel::{CancelCause, CancelToken, OnDeadline};
+use crate::cancel::{CancelToken, OnDeadline};
 use crate::config::{GrainConfig, GrainVariant};
-use crate::engine::{ArtifactBytes, EngineStats, SelectionEngine};
-use crate::error::{DeadlineStage, GrainError, GrainResult};
+use crate::engine::{ArtifactBytes, EngineStats, SelectionEngine, DEFAULT_TRACE_CAPACITY};
+use crate::error::{GrainError, GrainResult};
 use crate::fault;
 use crate::selector::{Completion, SelectionOutcome};
 use crate::store::{ArtifactStore, ContentAddress, PendingArtifact};
@@ -1163,6 +1163,9 @@ pub struct GrainService {
     /// [`GrainService::with_retain_epochs`]. Default 1: only the current
     /// epoch survives.
     pub(crate) retain_epochs: usize,
+    /// Greedy runs each pooled engine keeps for replay; see
+    /// [`GrainService::with_trace_capacity`].
+    trace_capacity: usize,
 }
 
 impl Default for GrainService {
@@ -1201,6 +1204,7 @@ impl GrainService {
             update: Mutex::new(()),
             store: None,
             retain_epochs: 1,
+            trace_capacity: DEFAULT_TRACE_CAPACITY,
         }
     }
 
@@ -1264,6 +1268,16 @@ impl GrainService {
     #[must_use]
     pub fn with_byte_budget(mut self, bytes: usize) -> Self {
         self.pool.set_byte_budget(bytes);
+        self
+    }
+
+    /// Sets how many complete greedy runs each pooled engine keeps for
+    /// replay (default [`DEFAULT_TRACE_CAPACITY`]). `0` makes every
+    /// request run greedy — what a timing study of the greedy stage
+    /// wants.
+    #[must_use]
+    pub fn with_trace_capacity(mut self, entries: usize) -> Self {
+        self.trace_capacity = entries;
         self
     }
 
@@ -1496,6 +1510,7 @@ impl GrainService {
         };
         let (engine, event) = self.pool.get_or_build(key.clone(), || {
             let mut engine = SelectionEngine::over(*config, graph, features)?;
+            engine.set_trace_capacity(self.trace_capacity);
             // X^(k) depends on the kernel alone, not the full
             // fingerprint: a fresh engine adopts a resident sibling's
             // propagation (same graph, same epoch) so e.g. a θ sweep
@@ -1574,12 +1589,13 @@ impl GrainService {
     /// deadline trips; an explicit [`CancelToken::cancel`] always fails
     /// with [`GrainError::Cancelled`].
     ///
-    /// For a [`Budget::Sweep`] under [`OnDeadline::Partial`], a deadline
-    /// trip mid-sweep keeps every outcome produced so far: the report's
-    /// `budgets`/`outcomes` are truncated to the completed prefix (whose
-    /// last outcome may itself be a partial selection). If the trip lands
-    /// before any outcome exists — including inside an artifact build,
-    /// which is never partial — the request fails typed.
+    /// A [`Budget::Sweep`] runs greedy once, at its largest budget
+    /// ([`SelectionEngine::select_budgets_with_cancel`]). Under
+    /// [`OnDeadline::Partial`] a deadline trip mid-greedy keeps every
+    /// budget the committed picks already cover, plus the next budget in
+    /// order as a partial selection; the report's `budgets`/`outcomes` are
+    /// truncated there. A trip inside an artifact build, which is never
+    /// partial, fails the request typed.
     ///
     /// An untripped token answers bit-identically to
     /// [`GrainService::select`].
@@ -1624,40 +1640,17 @@ impl GrainService {
         let mut engine = checkout.lock();
         engine.set_config(config)?;
         let before = engine.stats();
-        let mut outcomes: Vec<SelectionOutcome> = Vec::with_capacity(budgets.len());
-        for &budget in &budgets {
-            match engine.select_with_cancel(
-                config.variant,
-                &candidates,
-                budget,
-                cancel,
-                on_deadline,
-            ) {
-                Ok(outcome) => {
-                    let partial = outcome.is_partial();
-                    outcomes.push(outcome);
-                    if partial {
-                        break; // the token stays tripped; later budgets cannot run
-                    }
-                }
-                // A deadline trip between sweep entries (or inside a later
-                // entry's artifact stage) under the Partial policy keeps
-                // the completed prefix of the sweep.
-                Err(GrainError::DeadlineExceeded {
-                    stage: DeadlineStage::MidSelection,
-                }) if on_deadline == OnDeadline::Partial && !outcomes.is_empty() => break,
-                Err(e) => return Err(e),
-            }
-        }
-        // Decide completion before truncating: a sweep cut short between
-        // budgets is partial even though its last outcome is complete.
-        let completion = match outcomes.last() {
-            Some(last) if last.is_partial() => last.completion,
-            _ if outcomes.len() < budgets.len() => Completion::Partial {
-                cause: CancelCause::Deadline,
-            },
-            _ => Completion::Complete,
-        };
+        let outcomes = engine.select_budgets_with_cancel(
+            config.variant,
+            &candidates,
+            &budgets,
+            cancel,
+            on_deadline,
+        )?;
+        // Only a partial last outcome cuts a sweep short.
+        let completion = outcomes
+            .last()
+            .map_or(Completion::Complete, |o| o.completion);
         budgets.truncate(outcomes.len());
         let artifact_builds = engine.stats().delta_since(&before);
         let artifact_bytes = engine.artifact_bytes();

@@ -354,6 +354,55 @@ mod fault_injection {
         assert!(full.starts_with(prefix), "still an exact prefix");
     }
 
+    /// A request answered from the greedy trace cache crosses the same
+    /// checkpoints as a fresh greedy run: a trip armed at any round or
+    /// eval block yields the identical answer — picks, objective trace,
+    /// evaluation count, completion — whether the service replays or runs.
+    #[test]
+    fn replayed_requests_trip_at_the_same_checkpoints_as_fresh_runs() {
+        let _guard = serialize();
+        let cached = service_with(&[("papers", 71)]);
+        let fresh = GrainService::new().with_trace_capacity(0);
+        let dataset = grain::data::synthetic::papers_like(300, 71);
+        fresh
+            .register_graph("papers", dataset.graph, dataset.features)
+            .unwrap();
+        let mut partials = 0;
+        for algorithm in [GreedyAlgorithm::Lazy, GreedyAlgorithm::Plain] {
+            let config = GrainConfig {
+                algorithm,
+                cancel_check_every: 64,
+                ..GrainConfig::ball_d()
+            };
+            let req = SelectionRequest::new("papers", config, Budget::Fixed(10));
+            cached.select(&req).unwrap(); // primes the trace cache
+            fresh.select(&req).unwrap(); // warms the artifacts only
+            for (site, trips) in [("greedy.round", 1..=11u64), ("greedy.eval.block", 1..=8)] {
+                for nth in trips {
+                    let answer = |service: &GrainService| {
+                        let _armed = Armed::arm(site, Schedule::Nth(nth), FaultAction::Cancel);
+                        service.select_with(&req, &CancelToken::new(), OnDeadline::Partial)
+                    };
+                    let (replayed, run) = (answer(&cached), answer(&fresh));
+                    let what = format!("{algorithm:?} {site} #{nth}");
+                    match (replayed, run) {
+                        (Ok(a), Ok(b)) => {
+                            let (a, b) = (a.outcome(), b.outcome());
+                            assert!(a.replayed && !b.replayed, "{what}");
+                            assert_eq!(a.selected, b.selected, "{what}");
+                            assert_eq!(a.objective_trace, b.objective_trace, "{what}");
+                            assert_eq!(a.evaluations, b.evaluations, "{what}");
+                            assert_eq!(a.completion, b.completion, "{what}");
+                            partials += usize::from(a.is_partial());
+                        }
+                        (a, b) => assert_eq!(a.err(), b.err(), "{what}"),
+                    }
+                }
+            }
+        }
+        assert!(partials > 10, "the armed trips must land mid-greedy");
+    }
+
     /// An injected panic in one request of a batch resolves that request
     /// as [`GrainError::SelectionPanicked`] and leaves every sibling's
     /// answer bit-identical to the serial oracle — no worker dies, no
