@@ -85,7 +85,7 @@ fn bench_cancellation(c: &mut Criterion) {
     let budget = 4 * dataset.num_classes;
     // No greedy trace cache: every case must run (and cancel) greedy,
     // not replay the priming request's run.
-    let service = Arc::new(GrainService::new().with_trace_capacity(0));
+    let service = Arc::new(GrainService::new().with_trace_cache(false));
     service
         .register_graph("papers", dataset.graph.clone(), dataset.features.clone())
         .expect("corpus registers");

@@ -51,7 +51,7 @@ fn bench_batched_vs_serial(c: &mut Criterion) {
     // warm-path premise holds for any key→shard hash placement.
     // No greedy trace cache: each request runs greedy, the unit of work
     // this bench spreads over threads.
-    let service = GrainService::with_topology(8, FINGERPRINTS).with_trace_capacity(0);
+    let service = GrainService::with_topology(8, FINGERPRINTS).with_trace_cache(false);
     service
         .register_graph("papers", dataset.graph.clone(), dataset.features.clone())
         .expect("corpus registers");

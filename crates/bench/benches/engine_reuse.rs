@@ -24,13 +24,13 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     });
 
     // Warm: artifacts built once outside the timed loop. With the greedy
-    // trace cache off each iteration pays greedy maximization; with it
-    // on (the default) each iteration replays the primed run.
-    for (name, capacity) in [("warm-greedy", 0), ("warm", 8)] {
+    // trace cache off (`warm`) each iteration pays greedy maximization;
+    // with it on (`warm-replay`) each iteration replays the primed run.
+    for (name, trace_cache) in [("warm", false), ("warm-replay", true)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
             let mut engine = SelectionEngine::new(*cfg, &dataset.graph, &dataset.features)
                 .expect("bench config is valid");
-            engine.set_trace_capacity(capacity);
+            engine.set_trace_cache(trace_cache);
             let _prime = engine.select(&dataset.split.train, budget);
             b.iter(|| {
                 let out = engine.select(&dataset.split.train, budget);

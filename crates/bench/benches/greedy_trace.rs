@@ -141,9 +141,9 @@ fn bench_trace(c: &mut Criterion) {
     engine.select(train, longest); // builds artifacts, caches the run
     for budget in [base, base + 128, longest] {
         let mut evaluations = 0;
-        for (mode, capacity) in [("run", 0), ("replay", 8)] {
-            engine.set_trace_capacity(capacity);
-            if capacity > 0 {
+        for (mode, trace_cache) in [("run", false), ("replay", true)] {
+            engine.set_trace_cache(trace_cache);
+            if trace_cache {
                 engine.select(train, longest);
             }
             case(c, &mut cases, format!("{mode}/{budget}"), 20, || {
@@ -169,7 +169,7 @@ fn bench_trace(c: &mut Criterion) {
     let budgets: Vec<usize> = [2, 5, 10, 20].iter().map(|m| m * al.num_classes).collect();
     let mut engine = SelectionEngine::new(GrainConfig::nn_d(), &al.graph, &al.features)
         .expect("bench config is valid");
-    engine.set_trace_capacity(0);
+    engine.set_trace_cache(false);
     engine.select(&al.split.train, 1); // builds artifacts and d_max
     for mode in ["per-budget", "one-run"] {
         let mut rng = StdRng::seed_from_u64(5);
@@ -197,8 +197,8 @@ fn bench_trace(c: &mut Criterion) {
     let mut engine = SelectionEngine::new(GrainConfig::ball_d(), &serve.graph, &serve.features)
         .expect("bench config is valid");
     engine.select(train, 1);
-    for (mode, capacity) in [("cache-off", 0), ("cache-on", 8)] {
-        engine.set_trace_capacity(capacity);
+    for (mode, trace_cache) in [("cache-off", false), ("cache-on", true)] {
+        engine.set_trace_cache(trace_cache);
         let mut rng = StdRng::seed_from_u64(7);
         case(c, &mut cases, format!("pools/{mode}"), 40, || {
             let pool = random_pool(train, train.len() / 2, &mut rng);

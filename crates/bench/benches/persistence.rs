@@ -183,7 +183,7 @@ fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
         // No greedy trace cache: the warm hit times greedy over warm
         // artifacts, as in the committed baseline.
         let service = GrainService::with_capacity(2)
-            .with_trace_capacity(0)
+            .with_trace_cache(false)
             .with_artifact_store(scratch.path())
             .expect("store reopens");
         service

@@ -264,7 +264,7 @@ fn bench_scale(c: &mut Criterion) {
     // ladder so residency accounting in the JSON reflects every rung.
     // No greedy trace cache: warm-select latency is greedy over warm
     // artifacts, not a replay of the previous sample.
-    let service = GrainService::with_capacity(2 * ladder.len().max(1)).with_trace_capacity(0);
+    let service = GrainService::with_capacity(2 * ladder.len().max(1)).with_trace_cache(false);
     let mut cases: Vec<Case> = Vec::new();
     for &n in &ladder {
         run_rung(&service, c, n, &mut cases);

@@ -91,7 +91,7 @@ fn bench_scheduler(c: &mut Criterion) {
     let budget = 2 * dataset.num_classes;
     // No greedy trace cache: the naive storm pays one greedy run per
     // request, which is what coalescing is measured against.
-    let service = Arc::new(GrainService::new().with_trace_capacity(0));
+    let service = Arc::new(GrainService::new().with_trace_cache(false));
     service
         .register_graph("papers", dataset.graph.clone(), dataset.features.clone())
         .expect("corpus registers");

@@ -181,7 +181,7 @@ impl ServedCorpus {
     ) -> (GrainService, SelectionRequest) {
         // No greedy trace cache: the warm figure times greedy itself, not
         // a replay of the cold request's run.
-        let service = GrainService::new().with_trace_capacity(0);
+        let service = GrainService::new().with_trace_cache(false);
         service
             .register_graph(
                 &self.name,

@@ -22,15 +22,15 @@
 //!
 //! Greedy itself is reused too. Its picks do not depend on the budget
 //! (a run at budget `b` is a prefix of any longer run), so the engine
-//! keeps its last few complete runs — the **greedy trace cache**, keyed by
+//! keeps its last complete run — the **greedy trace cache**, keyed by
 //! [`GrainConfig::selection_fingerprint`] and the exact candidate pool.
 //! A request whose budget fits in a cached run is answered by replaying
 //! that run's first picks ([`crate::greedy::replay_ctl`]): `O(budget)`
 //! objective updates, no marginal-gain evaluations, and a bit-identical
 //! outcome (`selected`, `objective_trace`, `sigma`, `diversity_value`,
-//! `evaluations`). A longer budget runs greedy again and replaces the
-//! entry. A budget sweep is one run at its largest budget plus a slice
-//! per budget.
+//! `evaluations`). A longer budget, another pool or another config runs
+//! greedy again and replaces the cached run. A budget sweep is one run
+//! at its largest budget plus a slice per budget.
 //!
 //! The artifact hot paths (propagation SpMM rounds, influence rows, the
 //! activation-index inversion, ball lists, NN `d_max`) run over
@@ -60,20 +60,16 @@ use std::time::{Duration, Instant};
 /// is estimated by anchor sampling (see `grain-linalg::distance`).
 pub(crate) const NN_DMAX_EXACT_LIMIT: usize = 2048;
 
-/// How many complete greedy runs each engine keeps for replay unless
-/// [`SelectionEngine::set_trace_capacity`] says otherwise.
-pub const DEFAULT_TRACE_CAPACITY: usize = 8;
-
 /// Counters of the greedy trace cache ([`SelectionEngine::trace_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Greedy runs executed: misses, and budgets longer than the cached
-    /// run for their pool.
+    /// run.
     pub runs: usize,
-    /// Requests answered by replaying a cached run.
+    /// Requests answered by replaying the cached run.
     pub replays: usize,
-    /// Runs currently cached.
-    pub entries: usize,
+    /// Whether a run is cached now.
+    pub cached: bool,
 }
 
 /// One complete (uncancelled) greedy run, kept for replay.
@@ -90,65 +86,46 @@ struct CachedRun {
     trace: GreedyTrace,
 }
 
-/// The greedy trace cache: up to `capacity` runs, most recently used last.
+impl CachedRun {
+    /// Whether this run is for `(fingerprint, candidates)` and answers
+    /// every budget in `budgets`.
+    fn answers(&self, fingerprint: &str, candidates: &[u32], budgets: &[usize]) -> bool {
+        let longest = budgets
+            .iter()
+            .map(|&b| b.min(self.pool_len))
+            .max()
+            .unwrap_or(0);
+        self.fingerprint == fingerprint
+            && self.candidates == candidates
+            && (self.exhausted || longest <= self.trace.selected.len())
+    }
+
+    /// Resident heap bytes: the fingerprint, the pool copy and the trace.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.fingerprint.len()
+            + (self.candidates.len() + self.trace.selected.len()) * size_of::<u32>()
+            + self.trace.objective_trace.len() * size_of::<f64>()
+            + self.trace.evaluations_at.len() * size_of::<usize>()
+    }
+}
+
+/// The greedy trace cache: one slot holding the engine's last complete
+/// run.
 struct TraceCache {
-    runs: Vec<CachedRun>,
-    capacity: usize,
-    stats: TraceStats,
+    enabled: bool,
+    last: Option<CachedRun>,
+    runs: usize,
+    replays: usize,
 }
 
 impl TraceCache {
-    fn new(capacity: usize) -> Self {
+    fn new(enabled: bool) -> Self {
         Self {
-            runs: Vec::new(),
-            capacity,
-            stats: TraceStats::default(),
-        }
-    }
-
-    /// Position of the cached run for `(fingerprint, candidates)` that
-    /// answers every budget in `budgets`, marked most recently used.
-    fn lookup(
-        &mut self,
-        fingerprint: &str,
-        candidates: &[u32],
-        budgets: &[usize],
-    ) -> Option<usize> {
-        let pos = self
-            .runs
-            .iter()
-            .position(|r| r.fingerprint == fingerprint && r.candidates == candidates)?;
-        let run = self.runs.remove(pos);
-        let longest = budgets
-            .iter()
-            .map(|&b| b.min(run.pool_len))
-            .max()
-            .unwrap_or(0);
-        let covers = run.exhausted || longest <= run.trace.selected.len();
-        self.runs.push(run);
-        covers.then_some(self.runs.len() - 1)
-    }
-
-    /// Caches `run`, replacing any run for the same key and evicting the
-    /// least recently used one beyond capacity.
-    fn insert(&mut self, run: CachedRun) {
-        self.runs
-            .retain(|r| r.fingerprint != run.fingerprint || r.candidates != run.candidates);
-        self.runs.push(run);
-        self.set_capacity(self.capacity);
-    }
-
-    /// Drops the least recently used runs beyond `capacity`.
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        let excess = self.runs.len().saturating_sub(capacity);
-        self.runs.drain(..excess);
-    }
-
-    fn stats(&self) -> TraceStats {
-        TraceStats {
-            entries: self.runs.len(),
-            ..self.stats
+            enabled,
+            last: None,
+            runs: 0,
+            replays: 0,
         }
     }
 }
@@ -296,6 +273,8 @@ pub struct ArtifactBytes {
     pub activation_index: usize,
     /// Ball membership lists (per-ball `Vec` headers + entries).
     pub balls: usize,
+    /// The greedy trace cache: the cached run's pool copy and trace.
+    pub greedy_trace: usize,
 }
 
 impl ArtifactBytes {
@@ -309,6 +288,7 @@ impl ArtifactBytes {
             + self.influence_rows
             + self.activation_index
             + self.balls
+            + self.greedy_trace
     }
 }
 
@@ -381,7 +361,7 @@ impl SelectionEngine {
             index: None,
             balls: None,
             nn_dmax: None,
-            traces: TraceCache::new(DEFAULT_TRACE_CAPACITY),
+            traces: TraceCache::new(true),
             stats: EngineStats::default(),
         })
     }
@@ -552,15 +532,21 @@ impl SelectionEngine {
 
     /// Greedy trace cache counters.
     pub fn trace_stats(&self) -> TraceStats {
-        self.traces.stats()
+        TraceStats {
+            runs: self.traces.runs,
+            replays: self.traces.replays,
+            cached: self.traces.last.is_some(),
+        }
     }
 
-    /// Sets how many complete greedy runs this engine keeps for replay,
-    /// dropping the least recently used beyond it. `0` turns the cache
-    /// off: every request runs greedy, as timing studies of the greedy
-    /// stage need.
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.traces.set_capacity(capacity);
+    /// Turns the greedy trace cache on (the default) or off. Off drops
+    /// the cached run and makes every request run greedy, as timing
+    /// studies of the greedy stage need.
+    pub fn set_trace_cache(&mut self, enabled: bool) {
+        self.traces.enabled = enabled;
+        if !enabled {
+            self.traces.last = None;
+        }
     }
 
     /// Exact resident heap bytes of every currently cached artifact —
@@ -586,6 +572,7 @@ impl SelectionEngine {
                 .map(|b| std::mem::size_of::<Vec<u32>>() + b.len() * std::mem::size_of::<u32>())
                 .sum()
         });
+        let greedy_trace = self.traces.last.as_ref().map_or(0, CachedRun::bytes);
         ArtifactBytes {
             transition,
             propagation,
@@ -594,6 +581,7 @@ impl SelectionEngine {
             influence_rows_nested,
             activation_index,
             balls,
+            greedy_trace,
         }
     }
 
@@ -754,11 +742,15 @@ impl SelectionEngine {
             ..self.config
         }
         .selection_fingerprint();
-        let hit = self.traces.lookup(&fingerprint, candidates, budgets);
+        let hit = self
+            .traces
+            .last
+            .as_ref()
+            .filter(|run| run.answers(&fingerprint, candidates, budgets));
         // §3.4 candidate pruning is per-pool, not a cached artifact. A
         // replay needs no pool: the cached run knows its pruned size.
         let (pool, pool_len): (Cow<'_, [u32]>, usize) = match (hit, self.config.prune) {
-            (Some(pos), _) => (Cow::Borrowed(&[]), self.traces.runs[pos].pool_len),
+            (Some(run), _) => (Cow::Borrowed(&[]), run.pool_len),
             (None, None) => (Cow::Borrowed(candidates), candidates.len()),
             (None, Some(strategy)) => {
                 let rows = &self.rows.as_ref().expect("rows ensured").1;
@@ -772,29 +764,23 @@ impl SelectionEngine {
         let mut snapshots = Snapshots::new(counts.clone());
         let mut objective = self.objective(variant);
         snapshots.take(&objective, false);
+        let check_every = self.config.cancel_check_every;
+        let replayed = hit.is_some();
         let trace = match hit {
-            Some(pos) => {
-                let checkpoints = Some((
-                    self.config.algorithm,
-                    cancel,
-                    self.config.cancel_check_every,
-                ));
-                let run = &self.traces.runs[pos].trace;
-                replay_ctl(&mut objective, run, longest, checkpoints, |o| {
+            Some(run) => {
+                let checkpoints = Some((self.config.algorithm, cancel, check_every));
+                replay_ctl(&mut objective, &run.trace, longest, checkpoints, |o| {
                     snapshots.take(o, false)
                 })
             }
-            None => {
-                let check_every = self.config.cancel_check_every;
-                match self.config.algorithm {
-                    GreedyAlgorithm::Plain => {
-                        plain_greedy_ctl(&mut objective, &pool, longest, cancel, check_every)
-                    }
-                    GreedyAlgorithm::Lazy => {
-                        lazy_greedy_ctl(&mut objective, &pool, longest, cancel, check_every)
-                    }
+            None => match self.config.algorithm {
+                GreedyAlgorithm::Plain => {
+                    plain_greedy_ctl(&mut objective, &pool, longest, cancel, check_every)
                 }
-            }
+                GreedyAlgorithm::Lazy => {
+                    lazy_greedy_ctl(&mut objective, &pool, longest, cancel, check_every)
+                }
+            },
         };
         snapshots.take(&objective, true);
         if snapshots.missing_below(trace.selected.len()) {
@@ -852,7 +838,7 @@ impl SelectionEngine {
                 evaluations,
                 candidates_after_prune: pool_len,
                 completion,
-                replayed: hit.is_some(),
+                replayed,
                 timings,
             });
             if completion != Completion::Complete {
@@ -861,12 +847,12 @@ impl SelectionEngine {
         }
 
         self.stats.selections += outcomes.len();
-        if hit.is_some() {
-            self.traces.stats.replays += 1;
+        if replayed {
+            self.traces.replays += 1;
         } else {
-            self.traces.stats.runs += 1;
-            if trace.cancelled.is_none() && self.traces.capacity > 0 {
-                self.traces.insert(CachedRun {
+            self.traces.runs += 1;
+            if trace.cancelled.is_none() && self.traces.enabled {
+                self.traces.last = Some(CachedRun {
                     fingerprint,
                     candidates: candidates.to_vec(),
                     pool_len,
@@ -1049,7 +1035,7 @@ impl SelectionEngine {
             balls: None,
             nn_dmax: None,
             // Runs over the old corpus answer nothing on the new one.
-            traces: TraceCache::new(self.traces.capacity),
+            traces: TraceCache::new(self.traces.enabled),
             stats,
         };
         (engine, timings)
@@ -1570,6 +1556,7 @@ mod tests {
             ("influence_rows", bytes.influence_rows),
             ("activation_index", bytes.activation_index),
             ("balls", bytes.balls),
+            ("greedy_trace", bytes.greedy_trace),
         ] {
             assert!(count > 0, "{name} built but reported zero bytes");
         }
@@ -1586,6 +1573,7 @@ mod tests {
                 + bytes.influence_rows
                 + bytes.activation_index
                 + bytes.balls
+                + bytes.greedy_trace
         });
         // Truncation shrinks the influence artifact.
         let mut cfg = *engine.config();

@@ -74,34 +74,28 @@ pub fn plain_greedy_ctl(
     check_every: usize,
 ) -> GreedyTrace {
     let budget = budget.min(candidates.len());
-    let check_every = check_every.max(1);
+    let mut ck = Checkpoints::new(Some(cancel), check_every);
     let mut remaining: Vec<u32> = candidates.to_vec();
     remaining.sort_unstable();
     remaining.dedup();
     let mut selected = Vec::with_capacity(budget);
     let mut trace = Vec::with_capacity(budget);
-    let mut evaluations = 0;
     let mut evaluations_at = Vec::with_capacity(budget + 1);
     evaluations_at.push(0);
     let mut cancelled = None;
     'rounds: for _ in 0..budget {
-        fault::point("greedy.round", Some(cancel));
-        if let Some(cause) = cancel.cause() {
+        if let Some(cause) = ck.round() {
             cancelled = Some(cause);
             break;
         }
         let mut best: Option<(usize, f64)> = None;
         for (pos, &c) in remaining.iter().enumerate() {
             let gain = objective.marginal_gain(c);
-            evaluations += 1;
-            if evaluations % check_every == 0 {
-                fault::point("greedy.eval.block", Some(cancel));
-                if let Some(cause) = cancel.cause() {
-                    // Abandon the half-scanned round without picking:
-                    // the committed prefix stays exact.
-                    cancelled = Some(cause);
-                    break 'rounds;
-                }
+            if let Some(cause) = ck.eval() {
+                // Abandon the half-scanned round without picking: the
+                // committed prefix stays exact.
+                cancelled = Some(cause);
+                break 'rounds;
             }
             // Tie-break toward the smaller node id (swap_remove below
             // shuffles `remaining`, so position order is not id order).
@@ -118,12 +112,12 @@ pub fn plain_greedy_ctl(
         objective.add(chosen);
         selected.push(chosen);
         trace.push(objective.value());
-        evaluations_at.push(evaluations);
+        evaluations_at.push(ck.evals);
     }
     GreedyTrace {
         selected,
         objective_trace: trace,
-        evaluations,
+        evaluations: ck.evals,
         evaluations_at,
         cancelled,
     }
@@ -184,33 +178,28 @@ pub fn lazy_greedy_ctl(
     }
 
     let budget = budget.min(candidates.len());
-    let check_every = check_every.max(1);
+    let mut ck = Checkpoints::new(Some(cancel), check_every);
     let mut uniq: Vec<u32> = candidates.to_vec();
     uniq.sort_unstable();
     uniq.dedup();
-    let mut evaluations = 0;
     let mut cancelled = None;
     let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(uniq.len());
     for &c in &uniq {
-        evaluations += 1;
         heap.push(Entry {
             gain: objective.marginal_gain(c),
             neg_id: -(c as i64),
             round: 0,
         });
-        if evaluations % check_every == 0 {
-            fault::point("greedy.eval.block", Some(cancel));
-            if let Some(cause) = cancel.cause() {
-                cancelled = Some(cause);
-                break;
-            }
+        if let Some(cause) = ck.eval() {
+            cancelled = Some(cause);
+            break;
         }
     }
     let mut selected = Vec::with_capacity(budget);
     let mut trace = Vec::with_capacity(budget);
     let mut evaluations_at = Vec::with_capacity(budget + 1);
     if cancelled.is_none() {
-        evaluations_at.push(evaluations);
+        evaluations_at.push(ck.evals);
     }
     let mut round = 0usize;
     while cancelled.is_none() && selected.len() < budget {
@@ -218,8 +207,7 @@ pub fn lazy_greedy_ctl(
         if top.round == round {
             // Round boundary: the next pick is decided but not yet
             // committed — the last safe place to stop.
-            fault::point("greedy.round", Some(cancel));
-            if let Some(cause) = cancel.cause() {
+            if let Some(cause) = ck.round() {
                 cancelled = Some(cause);
                 break;
             }
@@ -227,29 +215,25 @@ pub fn lazy_greedy_ctl(
             objective.add(c);
             selected.push(c);
             trace.push(objective.value());
-            evaluations_at.push(evaluations);
+            evaluations_at.push(ck.evals);
             round += 1;
         } else {
             let c = (-top.neg_id) as u32;
-            evaluations += 1;
             heap.push(Entry {
                 gain: objective.marginal_gain(c),
                 neg_id: top.neg_id,
                 round,
             });
-            if evaluations % check_every == 0 {
-                fault::point("greedy.eval.block", Some(cancel));
-                if let Some(cause) = cancel.cause() {
-                    cancelled = Some(cause);
-                    break;
-                }
+            if let Some(cause) = ck.eval() {
+                cancelled = Some(cause);
+                break;
             }
         }
     }
     GreedyTrace {
         selected,
         objective_trace: trace,
-        evaluations,
+        evaluations: ck.evals,
         evaluations_at,
         cancelled,
     }
@@ -286,6 +270,11 @@ pub fn replay_ctl<O: MarginalObjective>(
     );
     let at = &run.evaluations_at;
     let picks = budget.min(run.selected.len());
+    let plain = matches!(checkpoints, Some((GreedyAlgorithm::Plain, _, _)));
+    let mut ck = match checkpoints {
+        Some((_, cancel, check_every)) => Checkpoints::new(Some(cancel), check_every),
+        None => Checkpoints::new(None, 1),
+    };
     let mut out = GreedyTrace {
         selected: Vec::with_capacity(picks),
         objective_trace: Vec::with_capacity(picks),
@@ -293,72 +282,98 @@ pub fn replay_ctl<O: MarginalObjective>(
         evaluations_at: Vec::with_capacity(picks + 1),
         cancelled: None,
     };
-    // Crosses the eval-block checkpoints at every multiple of
-    // `check_every` in `(from, to]`; `Some(count)` on a trip.
-    let blocks = |from: usize, to: usize| -> Option<(usize, CancelCause)> {
-        let (_, cancel, check_every) = checkpoints?;
-        let check_every = check_every.max(1);
-        let mut m = (from / check_every + 1).saturating_mul(check_every);
-        while m <= to {
-            fault::point("greedy.eval.block", Some(cancel));
-            if let Some(cause) = cancel.cause() {
-                return Some((m, cause));
+    out.cancelled = 'replay: {
+        // CELF seeds its heap before the first round; plain's `at[0]` is 0.
+        if let Some(cause) = ck.skip_to(at[0]) {
+            break 'replay Some(cause);
+        }
+        out.evaluations_at.push(at[0]);
+        for (&c, &evals) in run.selected[..picks].iter().zip(&at[1..]) {
+            // Plain greedy checks at the top of a round, then scans; CELF
+            // re-evaluates stale entries, then checks before the commit.
+            let stop = if plain {
+                ck.round().or_else(|| ck.skip_to(evals))
+            } else {
+                ck.skip_to(evals).or_else(|| ck.round())
+            };
+            if stop.is_some() {
+                break 'replay stop;
             }
-            m = m.saturating_add(check_every);
+            objective.add(c);
+            out.selected.push(c);
+            out.objective_trace.push(objective.value());
+            out.evaluations_at.push(evals);
+            on_pick(&*objective);
+        }
+        // An exhausted plain run opens one more round and finds nothing.
+        if plain && budget > picks {
+            break 'replay ck.round();
         }
         None
     };
-    let round = || -> Option<CancelCause> {
-        let (_, cancel, _) = checkpoints?;
+    out.evaluations = ck.evals;
+    out
+}
+
+/// The cancellation checkpoints of a greedy run: a `greedy.round` site at
+/// each round boundary and a `greedy.eval.block` site after every
+/// `every`-th marginal-gain evaluation. Both loops and [`replay_ctl`]
+/// count through this one type, so a replay crosses exactly the blocks
+/// the run it replays crossed.
+struct Checkpoints<'a> {
+    /// `None` crosses nothing: a replay of work that has just run.
+    cancel: Option<&'a CancelToken>,
+    every: usize,
+    /// The evaluation count of the next block checkpoint.
+    next_block: usize,
+    /// Marginal-gain evaluations counted so far.
+    evals: usize,
+}
+
+impl<'a> Checkpoints<'a> {
+    fn new(cancel: Option<&'a CancelToken>, every: usize) -> Self {
+        let every = every.max(1);
+        Self {
+            cancel,
+            every,
+            next_block: every,
+            evals: 0,
+        }
+    }
+
+    /// Counts one evaluation, crossing the block checkpoint it completes.
+    #[inline]
+    fn eval(&mut self) -> Option<CancelCause> {
+        self.evals += 1;
+        if self.evals < self.next_block {
+            return None;
+        }
+        self.next_block = self.next_block.saturating_add(self.every);
+        let cancel = self.cancel?;
+        fault::point("greedy.eval.block", Some(cancel));
+        cancel.cause()
+    }
+
+    /// Counts evaluations up to `to` without running them, crossing every
+    /// block checkpoint `eval` would cross on the way. On a trip the count
+    /// stops at the block that tripped.
+    fn skip_to(&mut self, to: usize) -> Option<CancelCause> {
+        while self.next_block <= to {
+            self.evals = self.next_block - 1;
+            if let Some(cause) = self.eval() {
+                return Some(cause);
+            }
+        }
+        self.evals = to;
+        None
+    }
+
+    /// Crosses a round boundary.
+    fn round(&self) -> Option<CancelCause> {
+        let cancel = self.cancel?;
         fault::point("greedy.round", Some(cancel));
         cancel.cause()
-    };
-    let stop = |mut out: GreedyTrace, evaluations: usize, cause: CancelCause| {
-        out.evaluations = evaluations;
-        out.cancelled = Some(cause);
-        out
-    };
-    let plain = matches!(checkpoints, Some((GreedyAlgorithm::Plain, _, _)));
-    if !plain {
-        // CELF seeds its heap before the first round.
-        if let Some((m, cause)) = blocks(0, at[0]) {
-            return stop(out, m, cause);
-        }
     }
-    out.evaluations_at.push(at[0]);
-    for i in 1..=picks {
-        if plain {
-            // Plain greedy checks at the top of a round, then scans.
-            if let Some(cause) = round() {
-                return stop(out, at[i - 1], cause);
-            }
-            if let Some((m, cause)) = blocks(at[i - 1], at[i]) {
-                return stop(out, m, cause);
-            }
-        } else {
-            // CELF re-evaluates stale entries, then checks before the commit.
-            if let Some((m, cause)) = blocks(at[i - 1], at[i]) {
-                return stop(out, m, cause);
-            }
-            if let Some(cause) = round() {
-                return stop(out, at[i], cause);
-            }
-        }
-        let c = run.selected[i - 1];
-        objective.add(c);
-        out.selected.push(c);
-        out.objective_trace.push(objective.value());
-        out.evaluations_at.push(at[i]);
-        on_pick(&*objective);
-    }
-    if plain && budget > picks {
-        // An exhausted plain run opens one more round and finds nothing.
-        if let Some(cause) = round() {
-            return stop(out, at[picks], cause);
-        }
-    }
-    out.evaluations = at[picks];
-    out
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@
 
 use crate::cancel::{CancelToken, OnDeadline};
 use crate::config::{GrainConfig, GrainVariant};
-use crate::engine::{ArtifactBytes, EngineStats, SelectionEngine, DEFAULT_TRACE_CAPACITY};
+use crate::engine::{ArtifactBytes, EngineStats, SelectionEngine};
 use crate::error::{GrainError, GrainResult};
 use crate::fault;
 use crate::selector::{Completion, SelectionOutcome};
@@ -1163,9 +1163,9 @@ pub struct GrainService {
     /// [`GrainService::with_retain_epochs`]. Default 1: only the current
     /// epoch survives.
     pub(crate) retain_epochs: usize,
-    /// Greedy runs each pooled engine keeps for replay; see
-    /// [`GrainService::with_trace_capacity`].
-    trace_capacity: usize,
+    /// Whether pooled engines keep their last greedy run for replay; see
+    /// [`GrainService::with_trace_cache`].
+    trace_cache: bool,
 }
 
 impl Default for GrainService {
@@ -1204,7 +1204,7 @@ impl GrainService {
             update: Mutex::new(()),
             store: None,
             retain_epochs: 1,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
+            trace_cache: true,
         }
     }
 
@@ -1271,13 +1271,12 @@ impl GrainService {
         self
     }
 
-    /// Sets how many complete greedy runs each pooled engine keeps for
-    /// replay (default [`DEFAULT_TRACE_CAPACITY`]). `0` makes every
-    /// request run greedy — what a timing study of the greedy stage
-    /// wants.
+    /// Turns the greedy trace cache of every pooled engine on (the
+    /// default) or off. Off makes every request run greedy — what a
+    /// timing study of the greedy stage wants.
     #[must_use]
-    pub fn with_trace_capacity(mut self, entries: usize) -> Self {
-        self.trace_capacity = entries;
+    pub fn with_trace_cache(mut self, enabled: bool) -> Self {
+        self.trace_cache = enabled;
         self
     }
 
@@ -1510,7 +1509,7 @@ impl GrainService {
         };
         let (engine, event) = self.pool.get_or_build(key.clone(), || {
             let mut engine = SelectionEngine::over(*config, graph, features)?;
-            engine.set_trace_capacity(self.trace_capacity);
+            engine.set_trace_cache(self.trace_cache);
             // X^(k) depends on the kernel alone, not the full
             // fingerprint: a fresh engine adopts a resident sibling's
             // propagation (same graph, same epoch) so e.g. a θ sweep

@@ -17,7 +17,7 @@ fn corpus(seed: u64) -> Dataset {
 /// run (warm artifacts select exactly as cold ones, `tests/engine_reuse.rs`).
 fn reference(config: GrainConfig, ds: &Dataset) -> SelectionEngine {
     let mut engine = SelectionEngine::new(config, &ds.graph, &ds.features).unwrap();
-    engine.set_trace_capacity(0);
+    engine.set_trace_cache(false);
     engine
 }
 
@@ -98,8 +98,8 @@ fn every_budget_up_to_a_cached_run_replays_bit_identically() {
         }
         let stats = engine.trace_stats();
         assert_eq!(
-            (stats.runs, stats.replays, stats.entries),
-            (1, 6, 1),
+            (stats.runs, stats.replays, stats.cached),
+            (1, 6, true),
             "{name}"
         );
     }
@@ -119,7 +119,7 @@ fn a_longer_budget_reruns_and_replaces_the_cached_run() {
     assert!(shorter.replayed);
     assert_same(&shorter, &fresh(config, &ds, pool, 15), "b=15");
     let stats = engine.trace_stats();
-    assert_eq!((stats.runs, stats.replays, stats.entries), (2, 1, 1));
+    assert_eq!((stats.runs, stats.replays, stats.cached), (2, 1, true));
 }
 
 #[test]
@@ -147,7 +147,7 @@ fn a_sweep_is_one_greedy_run_plus_slices() {
     let pool = &ds.split.train[..POOL];
     for (name, config) in configs() {
         let mut engine = SelectionEngine::new(config, &ds.graph, &ds.features).unwrap();
-        engine.set_trace_capacity(0);
+        engine.set_trace_cache(false);
         // Unsorted, with a duplicate and a budget past the pool size.
         let budgets = [9usize, 3, 18, 3, 0, 5000];
         let sweep = engine.select_budgets(pool, &budgets);
@@ -189,7 +189,7 @@ fn a_cached_run_answers_a_later_sweep_it_covers() {
 }
 
 #[test]
-fn runs_are_keyed_by_exact_pool_config_and_variant() {
+fn the_cached_run_is_keyed_by_exact_pool_config_and_variant() {
     let ds = corpus(61);
     let train = &ds.split.train;
     let half: Vec<u32> = train.iter().copied().step_by(2).collect();
@@ -198,15 +198,30 @@ fn runs_are_keyed_by_exact_pool_config_and_variant() {
     let base = GrainConfig::ball_d();
     let mut engine = SelectionEngine::new(base, &ds.graph, &ds.features).unwrap();
     engine.select(train, 10);
+    // Parallelism and the checkpoint cadence change no selection, so they
+    // share the cached run.
+    engine
+        .set_config(GrainConfig {
+            parallelism: 1,
+            cancel_check_every: 3,
+            ..base
+        })
+        .unwrap();
+    let same = engine.select(train, 10);
+    assert!(same.replayed);
+    assert_same(&same, &fresh(base, &ds, train, 10), "parallelism 1");
+    engine.set_config(base).unwrap();
     // A different pool, a reordered pool, a different variant and a
-    // different γ each run greedy.
+    // different γ each run greedy; each run replaces the cached one.
     assert!(!engine.select(&half, 10).replayed);
     assert!(!engine.select(&reversed, 10).replayed);
+    assert!(engine.select(&reversed, 10).replayed);
     assert!(
         !engine
-            .select_variant(GrainVariant::NoDiversity, train, 10)
+            .select_variant(GrainVariant::NoDiversity, &reversed, 10)
             .replayed
     );
+    assert!(!engine.select(&reversed, 10).replayed, "one slot");
     engine
         .set_config(GrainConfig { gamma: 0.5, ..base })
         .unwrap();
@@ -217,44 +232,39 @@ fn runs_are_keyed_by_exact_pool_config_and_variant() {
         &fresh(GrainConfig { gamma: 0.5, ..base }, &ds, train, 10),
         "gamma 0.5",
     );
-    // Back to the first config: its run is still cached. Parallelism and
-    // the checkpoint cadence change no selection, so they share it.
-    engine
-        .set_config(GrainConfig {
-            parallelism: 1,
-            cancel_check_every: 3,
-            ..base
-        })
-        .unwrap();
-    let back = engine.select(train, 10);
-    assert!(back.replayed);
-    assert_same(&back, &fresh(base, &ds, train, 10), "back to base");
-    assert_eq!(engine.trace_stats().entries, 5);
+    let stats = engine.trace_stats();
+    assert_eq!((stats.runs, stats.replays, stats.cached), (6, 2, true));
 }
 
 #[test]
-fn capacity_bounds_the_cache_and_zero_turns_it_off() {
+fn the_cache_keeps_one_run_and_can_be_turned_off() {
     let ds = corpus(67);
-    let pools: Vec<Vec<u32>> = (0..3)
-        .map(|k| ds.split.train.iter().copied().skip(k).step_by(3).collect())
+    let pools: Vec<Vec<u32>> = (0..2)
+        .map(|k| ds.split.train.iter().copied().skip(k).step_by(2).collect())
         .collect();
     let mut engine = SelectionEngine::new(GrainConfig::ball_d(), &ds.graph, &ds.features).unwrap();
-    engine.set_trace_capacity(2);
+    let empty = engine.artifact_bytes().greedy_trace;
     for pool in &pools {
         engine.select(pool, 6);
     }
-    assert_eq!(engine.trace_stats().entries, 2);
+    assert!(engine.select(&pools[1], 6).replayed);
     assert!(
         !engine.select(&pools[0], 6).replayed,
-        "least recent evicted"
+        "the slot held pools[1]"
     );
-    assert!(engine.select(&pools[2], 6).replayed);
+    let bytes = engine.artifact_bytes();
+    assert!(
+        bytes.greedy_trace >= pools[0].len() * std::mem::size_of::<u32>(),
+        "the cached pool copy is counted: {bytes:?}"
+    );
 
-    engine.set_trace_capacity(0);
-    assert_eq!(engine.trace_stats().entries, 0);
+    engine.set_trace_cache(false);
+    assert!(!engine.trace_stats().cached);
+    assert_eq!(engine.artifact_bytes().greedy_trace, empty);
     for _ in 0..2 {
         assert!(!engine.select(&pools[1], 6).replayed);
     }
+    assert!(!engine.trace_stats().cached);
 }
 
 #[test]
@@ -303,7 +313,7 @@ fn the_service_replays_repeats_and_sweeps_unless_told_not_to() {
     }
     assert!(sweep.fully_warm());
 
-    let uncached = GrainService::new().with_trace_capacity(0);
+    let uncached = GrainService::new().with_trace_cache(false);
     uncached
         .register_graph("papers", ds.graph.clone(), ds.features.clone())
         .unwrap();

@@ -362,7 +362,7 @@ mod fault_injection {
     fn replayed_requests_trip_at_the_same_checkpoints_as_fresh_runs() {
         let _guard = serialize();
         let cached = service_with(&[("papers", 71)]);
-        let fresh = GrainService::new().with_trace_capacity(0);
+        let fresh = GrainService::new().with_trace_cache(false);
         let dataset = grain::data::synthetic::papers_like(300, 71);
         fresh
             .register_graph("papers", dataset.graph, dataset.features)
@@ -401,6 +401,168 @@ mod fault_injection {
             }
         }
         assert!(partials > 10, "the armed trips must land mid-greedy");
+    }
+
+    fn assert_same_outcome(got: &SelectionOutcome, want: &SelectionOutcome, what: &str) {
+        assert_eq!(got.selected, want.selected, "{what}: selected");
+        assert_eq!(got.objective_trace, want.objective_trace, "{what}: trace");
+        assert_eq!(got.sigma, want.sigma, "{what}: sigma");
+        assert_eq!(
+            got.diversity_value.to_bits(),
+            want.diversity_value.to_bits(),
+            "{what}: diversity"
+        );
+        assert_eq!(got.evaluations, want.evaluations, "{what}: evaluations");
+        assert_eq!(
+            got.candidates_after_prune, want.candidates_after_prune,
+            "{what}: pool"
+        );
+        assert_eq!(got.completion, want.completion, "{what}: completion");
+    }
+
+    /// A `Budget::Sweep` runs greedy once, at its longest budget, so one
+    /// trip mid-greedy cuts every budget at once. At every round and
+    /// eval-block trip, for unsorted budgets, replayed and run, the sweep
+    /// must answer exactly what its committed prefix covers: under
+    /// `Partial`, budgets in request order come back complete (each equal
+    /// to its one-shot run) until the first one the prefix does not
+    /// cover, which comes back partial (equal to a one-shot run at the
+    /// longest budget under the same trip) and ends the report; under
+    /// `Fail`, any uncovered budget fails the request typed.
+    #[test]
+    fn a_sweep_tripped_mid_greedy_answers_exactly_what_its_prefix_covers() {
+        let _guard = serialize();
+        let dataset = grain::data::synthetic::papers_like(300, 71);
+        let train = dataset.split.train.clone();
+        let service = |trace_cache: bool| {
+            let service = GrainService::new().with_trace_cache(trace_cache);
+            service
+                .register_graph("papers", dataset.graph.clone(), dataset.features.clone())
+                .unwrap();
+            service
+        };
+        let (cached, uncached) = (service(true), service(false));
+        let budgets = vec![9usize, 3, 18, 6];
+        let longest = 18;
+        let (mut partials, mut completes_before_partial) = (0, 0);
+        for algorithm in [GreedyAlgorithm::Lazy, GreedyAlgorithm::Plain] {
+            let config = GrainConfig {
+                algorithm,
+                cancel_check_every: 32,
+                ..GrainConfig::ball_d()
+            };
+            let sweep = SelectionRequest::new("papers", config, Budget::Sweep(budgets.clone()))
+                .with_candidates(train.clone());
+            let mut oracle =
+                SelectionEngine::new(config, &dataset.graph, &dataset.features).unwrap();
+            oracle.set_trace_cache(false);
+            let one_shot: Vec<SelectionOutcome> =
+                budgets.iter().map(|&b| oracle.select(&train, b)).collect();
+            cached.select(&sweep).unwrap(); // primes the trace cache
+            uncached.select(&sweep).unwrap(); // warms the artifacts only
+
+            let trips = [
+                ("greedy.round", (1..=longest as u64 + 1).collect::<Vec<_>>()),
+                ("greedy.eval.block", vec![1, 2, 3, 5, 8, 13, 21, 34, 55, 89]),
+            ];
+            for (site, nths) in trips {
+                for nth in nths {
+                    let armed = |run: &mut dyn FnMut()| {
+                        let _armed = Armed::arm(site, Schedule::Nth(nth), FaultAction::Cancel);
+                        run();
+                    };
+                    // The oracle trip: a fresh one-shot run at the longest
+                    // budget, stopped at the same checkpoint.
+                    let mut tripped = None;
+                    armed(&mut || {
+                        tripped = Some(
+                            oracle
+                                .select_with_cancel(
+                                    config.variant,
+                                    &train,
+                                    longest,
+                                    &CancelToken::new(),
+                                    OnDeadline::Partial,
+                                )
+                                .unwrap(),
+                        );
+                    });
+                    let tripped = tripped.unwrap();
+                    let prefix = tripped.selected.len();
+                    // Request order up to and including the first budget
+                    // the prefix does not cover.
+                    let answered = if tripped.is_partial() {
+                        budgets.iter().position(|&b| b > prefix).unwrap() + 1
+                    } else {
+                        budgets.len()
+                    };
+                    for (name, service) in [("replayed", &cached), ("run", &uncached)] {
+                        let what = format!("{algorithm:?} {site} #{nth} {name}");
+                        let mut report = None;
+                        armed(&mut || {
+                            report = Some(service.select_with(
+                                &sweep,
+                                &CancelToken::new(),
+                                OnDeadline::Partial,
+                            ));
+                        });
+                        let report = report.unwrap().expect("Partial degrades, not fails");
+                        assert_eq!(report.budgets, budgets[..answered], "{what}");
+                        assert_eq!(report.outcomes.len(), answered, "{what}");
+                        assert_eq!(report.completion, tripped.completion, "{what}");
+                        for (i, outcome) in report.outcomes.iter().enumerate() {
+                            let what = format!("{what} b={}", budgets[i]);
+                            assert_eq!(outcome.replayed, name == "replayed", "{what}");
+                            if i + 1 == answered && tripped.is_partial() {
+                                assert_same_outcome(outcome, &tripped, &what);
+                                partials += 1;
+                            } else {
+                                assert_same_outcome(outcome, &one_shot[i], &what);
+                                completes_before_partial += usize::from(tripped.is_partial());
+                            }
+                        }
+
+                        let mut failed = None;
+                        armed(&mut || {
+                            failed = Some(service.select_with(
+                                &sweep,
+                                &CancelToken::new(),
+                                OnDeadline::Fail,
+                            ));
+                        });
+                        match failed.unwrap() {
+                            Err(e) => {
+                                assert!(tripped.is_partial(), "{what}: {e:?}");
+                                assert_eq!(
+                                    e,
+                                    GrainError::DeadlineExceeded {
+                                        stage: DeadlineStage::MidSelection
+                                    },
+                                    "{what}"
+                                );
+                            }
+                            Ok(report) => {
+                                assert!(!tripped.is_partial(), "{what}: Fail must fail");
+                                for (outcome, want) in report.outcomes.iter().zip(&one_shot) {
+                                    assert_same_outcome(outcome, want, &what);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            // The trips cached nothing torn: the sweep still replays whole.
+            let again = cached.select(&sweep).unwrap();
+            for (i, outcome) in again.outcomes.iter().enumerate() {
+                assert!(outcome.replayed);
+                assert_same_outcome(outcome, &one_shot[i], "after the trips");
+            }
+        }
+        assert!(partials > 20, "the armed trips must land mid-greedy");
+        assert!(
+            completes_before_partial > 10,
+            "some trips must land after a shorter budget is covered"
+        );
     }
 
     /// An injected panic in one request of a batch resolves that request
