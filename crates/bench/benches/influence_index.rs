@@ -28,11 +28,11 @@ fn bench_index_and_coverage(c: &mut Criterion) {
     let rows = InfluenceRows::compute(&t, 2, 1e-4);
     c.bench_function("activation-index-build", |b| {
         b.iter(|| {
-            let idx = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.25));
+            let idx = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.25), 1);
             std::hint::black_box(idx.total_entries())
         })
     });
-    let index = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.25));
+    let index = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.25), 1);
     c.bench_function("coverage-greedy-round", |b| {
         b.iter(|| {
             // One full greedy round: marginal gains of 1000 candidates.

@@ -9,10 +9,9 @@
 //! * **cold build** — wall-clock of the first request, with the engine's
 //!   own per-stage breakdown (propagation / influence rows / indexing /
 //!   greedy), i.e. what standing up the artifacts costs;
-//! * **resident bytes** — the CSR influence artifact as allocated vs.
-//!   what the retired nested `Vec<Vec<(u32, f32)>>` layout would have
-//!   occupied at the same config, plus the all-artifact total the pool
-//!   accounts ([`grain_core::ArtifactBytes`]);
+//! * **resident bytes** — the CSR influence artifact as allocated, plus
+//!   the all-artifact total the pool accounts
+//!   ([`grain_core::ArtifactBytes`]);
 //! * **warm selection latency** — repeated selections over warm
 //!   artifacts, the steady-state serving cost;
 //! * **CELF vs. plain evaluations** — marginal-gain evaluations the lazy
@@ -157,12 +156,6 @@ fn run_rung(service: &GrainService, c: &mut Criterion, n: usize, cases: &mut Vec
         "scale rung n={n} must run to completion"
     );
     let bytes = cold.artifact_bytes;
-    assert!(
-        bytes.influence_rows < bytes.influence_rows_nested,
-        "CSR must undercut the nested layout (n={n}: {} !< {})",
-        bytes.influence_rows,
-        bytes.influence_rows_nested
-    );
     let timings = &outcome.timings;
     cases.push(Case {
         name: format!("cold-build/{n}"),
@@ -176,14 +169,6 @@ fn run_rung(service: &GrainService, c: &mut Criterion, n: usize, cases: &mut Vec
             ("greedy_ns", timings.greedy.as_nanos() as f64),
             ("resident_bytes_total", bytes.total() as f64),
             ("influence_rows_bytes", bytes.influence_rows as f64),
-            (
-                "influence_rows_nested_bytes",
-                bytes.influence_rows_nested as f64,
-            ),
-            (
-                "csr_saving_ratio",
-                1.0 - bytes.influence_rows as f64 / bytes.influence_rows_nested as f64,
-            ),
             ("activation_index_bytes", bytes.activation_index as f64),
             ("pool_resident_bytes", cold.pool_stats.resident_bytes as f64),
         ],

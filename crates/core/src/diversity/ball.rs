@@ -38,7 +38,7 @@ impl BallDiversity {
     /// `embedding` must contain L2-normalized rows of `X^(k)` (use
     /// [`grain_linalg::distance::normalized_embedding`]).
     pub fn new(embedding: &DenseMatrix, radius: f32) -> Self {
-        let balls = distance::radius_neighbors(embedding, radius);
+        let balls = distance::radius_neighbors(embedding, radius, 0);
         Self::from_shared(Arc::new(balls), embedding.rows())
     }
 
@@ -150,7 +150,7 @@ mod tests {
         // Three tight points near (1,0) and one far point near (0,1).
         let mut m =
             DenseMatrix::from_vec(4, 2, vec![1.0, 0.0, 0.999, 0.045, 0.998, 0.063, 0.0, 1.0]);
-        ops::l2_normalize_rows(&mut m);
+        ops::l2_normalize_rows(&mut m, 1);
         m
     }
 

@@ -35,7 +35,7 @@ impl NnDiversity {
     /// anchor sampling beyond (see
     /// [`grain_linalg::distance::max_pairwise_distance`]).
     pub fn new(embedding: DenseMatrix, exact_limit: usize) -> Self {
-        let dmax = distance::max_pairwise_distance(&embedding, exact_limit);
+        let dmax = distance::max_pairwise_distance(&embedding, exact_limit, 0);
         Self::from_parts(Arc::new(embedding), dmax)
     }
 
@@ -139,7 +139,7 @@ mod tests {
 
     fn embedding() -> DenseMatrix {
         let mut m = DenseMatrix::from_vec(4, 2, vec![1.0, 0.0, 0.9, 0.43, 0.0, 1.0, -1.0, 0.0]);
-        ops::l2_normalize_rows(&mut m);
+        ops::l2_normalize_rows(&mut m, 1);
         m
     }
 

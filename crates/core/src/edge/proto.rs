@@ -101,7 +101,7 @@ pub fn grain_error_code(error: &GrainError) -> u16 {
         } => 11,
         GrainError::Cancelled => 12,
         GrainError::SelectionPanicked { .. } => 13,
-        GrainError::InvalidDelta { .. } => 14,
+        GrainError::InvalidCorpus { .. } => 14,
         GrainError::StoreCorrupt { .. } => 15,
         GrainError::SchedulerShutdown => 16,
     }
@@ -873,37 +873,37 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
         return Err(protocol("checksum mismatch".into()));
     }
     let mut d = Dec::new(body);
-    let magic = d.u32().map_err(&protocol)?;
+    let magic = d.u32().map_err(protocol)?;
     if magic != EDGE_MAGIC {
         return Err(protocol(format!("bad magic {magic:#010x}")));
     }
-    let version = d.u8().map_err(&protocol)?;
+    let version = d.u8().map_err(protocol)?;
     if version != EDGE_VERSION {
         return Err(protocol(format!(
             "unsupported version {version} (this end speaks {EDGE_VERSION})"
         )));
     }
-    let kind = d.u8().map_err(&protocol)?;
+    let kind = d.u8().map_err(protocol)?;
     let frame = match kind {
         1 => Frame::Hello(Hello {
-            tenant: d.str().map_err(&protocol)?,
-            secret: d.str().map_err(&protocol)?,
+            tenant: d.str().map_err(protocol)?,
+            secret: d.str().map_err(protocol)?,
         }),
         2 => Frame::HelloAck(HelloAck {
-            weight: d.u32().map_err(&protocol)?,
-            rate_per_sec: d.f64().map_err(&protocol)?,
-            burst: d.f64().map_err(&protocol)?,
+            weight: d.u32().map_err(protocol)?,
+            rate_per_sec: d.f64().map_err(protocol)?,
+            burst: d.f64().map_err(protocol)?,
         }),
-        3 => Frame::Request(Box::new(dec_request(&mut d).map_err(&protocol)?)),
-        4 => Frame::Response(dec_response(&mut d).map_err(&protocol)?),
+        3 => Frame::Request(Box::new(dec_request(&mut d).map_err(protocol)?)),
+        4 => Frame::Response(dec_response(&mut d).map_err(protocol)?),
         5 => Frame::Error(WireError {
-            request_id: d.u64().map_err(&protocol)?,
-            code: d.u16().map_err(&protocol)?,
-            message: d.str().map_err(&protocol)?,
+            request_id: d.u64().map_err(protocol)?,
+            code: d.u16().map_err(protocol)?,
+            message: d.str().map_err(protocol)?,
         }),
         tag => return Err(protocol(format!("unknown frame kind {tag}"))),
     };
-    d.finish().map_err(&protocol)?;
+    d.finish().map_err(protocol)?;
     Ok(frame)
 }
 

@@ -25,7 +25,7 @@
 //! keeps its last complete run — the **greedy trace cache**, keyed by
 //! [`GrainConfig::selection_fingerprint`] and the exact candidate pool.
 //! A request whose budget fits in a cached run is answered by replaying
-//! that run's first picks ([`crate::greedy::replay_ctl`]): `O(budget)`
+//! that run's first picks ([`crate::greedy::replay`]): `O(budget)`
 //! objective updates, no marginal-gain evaluations, and a bit-identical
 //! outcome (`selected`, `objective_trace`, `sigma`, `diversity_value`,
 //! `evaluations`). A longer budget, another pool or another config runs
@@ -44,17 +44,21 @@ use crate::config::{DiversityKind, GrainConfig, GrainVariant, GreedyAlgorithm};
 use crate::diversity::{BallDiversity, DiversityFunction, NnDiversity, NullDiversity};
 use crate::error::{DeadlineStage, GrainError, GrainResult};
 use crate::fault;
-use crate::greedy::{lazy_greedy_ctl, plain_greedy_ctl, replay_ctl, GreedyTrace};
+use crate::greedy::{lazy_greedy, plain_greedy, replay, GreedyTrace};
 use crate::objective::{DimObjective, DiversityScope};
 use crate::prune::prune_candidates;
 use crate::selector::{Completion, SelectionOutcome, SelectionTimings};
 use grain_graph::{transition_matrix, transition_rows, CsrMatrix, Graph, TransitionKind};
+use grain_influence::walk::kernel_power_weights;
 use grain_influence::{ActivationIndex, InfluenceRows, ThetaRule};
 use grain_linalg::{distance, DenseMatrix};
 use grain_prop::cache::PropagationCache;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Panic message for a build that polls a fresh, never-tripped token.
+const UNCANCELLED: &str = "a build polling an untripped token cannot be cancelled";
 
 /// Exact-`d_max` cutoff for NN diversity; beyond this row count the constant
 /// is estimated by anchor sampling (see `grain-linalg::distance`).
@@ -254,9 +258,7 @@ type KernelKey = String;
 /// Exact resident heap bytes of each cached artifact class — the memory
 /// ledger behind [`SelectionEngine::artifact_bytes`]. All counts are
 /// *current* residency: an artifact not (yet) built counts zero. The flat
-/// CSR influence layout makes its count exact, and
-/// [`ArtifactBytes::influence_rows_nested`] reports what the same rows
-/// would cost in the retired `Vec<Vec<(u32, f32)>>` layout for comparison.
+/// CSR influence layout makes its count exact.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArtifactBytes {
     /// Transition matrix `T` (CSR offsets + columns + values).
@@ -267,8 +269,6 @@ pub struct ArtifactBytes {
     pub embedding: usize,
     /// Influence rows in the flat CSR layout (exact).
     pub influence_rows: usize,
-    /// The same influence rows under the retired nested layout (cost model).
-    pub influence_rows_nested: usize,
     /// Activation index (flat CSR offsets + items).
     pub activation_index: usize,
     /// Ball membership lists (per-ball `Vec` headers + entries).
@@ -278,8 +278,7 @@ pub struct ArtifactBytes {
 }
 
 impl ArtifactBytes {
-    /// Total resident bytes across all artifact classes (the CSR influence
-    /// count, not the nested cost model).
+    /// Total resident bytes across all artifact classes.
     #[must_use]
     pub fn total(&self) -> usize {
         self.transition
@@ -397,10 +396,11 @@ impl SelectionEngine {
     /// baseline read bit-identical propagation from one store.
     pub fn propagated(&mut self) -> Arc<DenseMatrix> {
         self.ensure_transition();
-        self.ensure_propagation();
-        let transition = &self.transition.as_ref().expect("transition ensured").1;
+        self.ensure_propagation(&CancelToken::new())
+            .expect(UNCANCELLED);
         self.propagation
-            .get_with_par(self.config.kernel, transition, self.config.parallelism)
+            .get_cached(self.config.kernel)
+            .expect("propagation ensured")
     }
 
     /// Seeds the propagation cache with an externally computed `X^(k)`
@@ -561,10 +561,7 @@ impl SelectionEngine {
         });
         let propagation = self.propagation.resident_bytes(self.config.kernel);
         let embedding = self.embedding.as_ref().map_or(0, |(_, e)| dense_bytes(e));
-        let (influence_rows, influence_rows_nested) =
-            self.rows.as_ref().map_or((0, 0), |(_, r)| {
-                (r.resident_bytes(), r.nested_layout_bytes())
-            });
+        let influence_rows = self.rows.as_ref().map_or(0, |(_, r)| r.resident_bytes());
         let activation_index = self.index.as_ref().map_or(0, |(_, i)| i.resident_bytes());
         let balls = self.balls.as_ref().map_or(0, |(_, (lists, _))| {
             lists
@@ -578,7 +575,6 @@ impl SelectionEngine {
             propagation,
             embedding,
             influence_rows,
-            influence_rows_nested,
             activation_index,
             balls,
             greedy_trace,
@@ -715,17 +711,17 @@ impl SelectionEngine {
 
         // 1. Decoupled propagation (Eq. 6) on the kernel's transition matrix.
         self.ensure_transition();
-        self.ensure_propagation_ctl(cancel)?;
+        self.ensure_propagation(cancel)?;
         let propagation = t0.elapsed();
 
         // 2. Influence rows under the kernel Jacobian (Def. 3.1 / Eq. 9).
         let t1 = Instant::now();
-        self.ensure_rows_ctl(cancel)?;
+        self.ensure_rows(cancel)?;
         let influence = t1.elapsed();
 
         // 3. Activation index (Def. 3.2) + diversity precomputation (§3.3).
         let t2 = Instant::now();
-        self.ensure_index_ctl(cancel)?;
+        self.ensure_index(cancel)?;
         self.ensure_embedding();
         self.ensure_diversity(variant, cancel)?;
         let indexing = t2.elapsed();
@@ -769,16 +765,16 @@ impl SelectionEngine {
         let trace = match hit {
             Some(run) => {
                 let checkpoints = Some((self.config.algorithm, cancel, check_every));
-                replay_ctl(&mut objective, &run.trace, longest, checkpoints, |o| {
+                replay(&mut objective, &run.trace, longest, checkpoints, |o| {
                     snapshots.take(o, false)
                 })
             }
             None => match self.config.algorithm {
                 GreedyAlgorithm::Plain => {
-                    plain_greedy_ctl(&mut objective, &pool, longest, cancel, check_every)
+                    plain_greedy(&mut objective, &pool, longest, cancel, check_every)
                 }
                 GreedyAlgorithm::Lazy => {
-                    lazy_greedy_ctl(&mut objective, &pool, longest, cancel, check_every)
+                    lazy_greedy(&mut objective, &pool, longest, cancel, check_every)
                 }
             },
         };
@@ -787,7 +783,7 @@ impl SelectionEngine {
             // A sweep's shorter budgets after a run: replay it once more,
             // capturing σ(S) and D(S) on the way.
             let mut again = self.objective(variant);
-            replay_ctl(&mut again, &trace, trace.selected.len(), None, |o| {
+            replay(&mut again, &trace, trace.selected.len(), None, |o| {
                 snapshots.take(o, false)
             });
         }
@@ -870,7 +866,8 @@ impl SelectionEngine {
     /// re-normalizing the propagation themselves.
     pub fn normalized_embedding(&mut self) -> Arc<DenseMatrix> {
         self.ensure_transition();
-        self.ensure_propagation();
+        self.ensure_propagation(&CancelToken::new())
+            .expect(UNCANCELLED);
         self.ensure_embedding();
         Arc::clone(&self.embedding.as_ref().expect("embedding ensured").1)
     }
@@ -878,16 +875,17 @@ impl SelectionEngine {
     /// The activation index under the current config (built or cached) —
     /// interpretability experiments read activation lists directly.
     pub fn activation_index(&mut self) -> &ActivationIndex {
+        let never = CancelToken::new();
         self.ensure_transition();
-        self.ensure_rows();
-        self.ensure_index();
+        self.ensure_rows(&never).expect(UNCANCELLED);
+        self.ensure_index(&never).expect(UNCANCELLED);
         &self.index.as_ref().expect("index ensured").1
     }
 
     /// The influence rows under the current config (built or cached).
     pub fn influence_rows(&mut self) -> &InfluenceRows {
         self.ensure_transition();
-        self.ensure_rows();
+        self.ensure_rows(&CancelToken::new()).expect(UNCANCELLED);
         &self.rows.as_ref().expect("rows ensured").1
     }
 
@@ -1050,15 +1048,10 @@ impl SelectionEngine {
         }
     }
 
-    fn ensure_propagation(&mut self) {
-        self.ensure_propagation_ctl(&CancelToken::new())
-            .expect("propagation with an untripped token cannot be cancelled");
-    }
-
     /// Builds `X^(k)` unless cached, polling `cancel` between SpMM power
     /// steps. A cancelled build caches nothing (no torn artifacts) and
     /// bumps no build counter; the next request starts fresh.
-    fn ensure_propagation_ctl(&mut self, cancel: &CancelToken) -> GrainResult<()> {
+    fn ensure_propagation(&mut self, cancel: &CancelToken) -> GrainResult<()> {
         let kernel = self.config.kernel;
         if self.propagation.contains(kernel) {
             return Ok(());
@@ -1068,7 +1061,7 @@ impl SelectionEngine {
         let transition = &self.transition.as_ref().expect("transition ensured").1;
         match self
             .propagation
-            .get_with_ctl(kernel, transition, self.config.parallelism, &|| {
+            .get_with(kernel, transition, self.config.parallelism, &|| {
                 cancel.is_cancelled()
             }) {
             Some(_) => {
@@ -1083,28 +1076,21 @@ impl SelectionEngine {
         let key = self.config.kernel.cache_key();
         if self.embedding.as_ref().map(|(k, _)| k) != Some(&key) {
             let embedding = {
-                let transition = &self.transition.as_ref().expect("transition ensured").1;
-                let smoothed = self.propagation.get_with_par(
-                    self.config.kernel,
-                    transition,
-                    self.config.parallelism,
-                );
-                distance::normalized_embedding_par(&smoothed, self.config.parallelism)
+                let smoothed = self
+                    .propagation
+                    .get_cached(self.config.kernel)
+                    .expect("propagation ensured");
+                distance::normalized_embedding(&smoothed, self.config.parallelism)
             };
             self.embedding = Some((key, Arc::new(embedding)));
             self.stats.embedding_builds += 1;
         }
     }
 
-    fn ensure_rows(&mut self) {
-        self.ensure_rows_ctl(&CancelToken::new())
-            .expect("an influence build with an untripped token cannot be cancelled");
-    }
-
     /// Builds the influence rows unless cached, polling `cancel` every 64
     /// rows inside the parallel build. A cancelled build discards its
     /// partial rows wholesale and caches nothing.
-    fn ensure_rows_ctl(&mut self, cancel: &CancelToken) -> GrainResult<()> {
+    fn ensure_rows(&mut self, cancel: &CancelToken) -> GrainResult<()> {
         let key = (
             self.config.kernel.cache_key(),
             self.config.influence_eps.to_bits(),
@@ -1116,9 +1102,9 @@ impl SelectionEngine {
         fault::point("engine.build.rows", Some(cancel));
         cancel.checkpoint()?;
         let transition = &self.transition.as_ref().expect("transition ensured").1;
-        match InfluenceRows::for_kernel_topk_ctl(
+        match InfluenceRows::compute_weighted(
             transition,
-            self.config.kernel,
+            &kernel_power_weights(self.config.kernel),
             self.config.influence_eps,
             self.config.influence_row_top_k,
             self.config.parallelism,
@@ -1133,15 +1119,10 @@ impl SelectionEngine {
         }
     }
 
-    fn ensure_index(&mut self) {
-        self.ensure_index_ctl(&CancelToken::new())
-            .expect("an index build with an untripped token cannot be cancelled");
-    }
-
     /// Builds the activation index unless cached. The inversion itself is
     /// not interruptible (it is the cheapest artifact); `cancel` is checked
     /// once at the stage boundary before committing to the build.
-    fn ensure_index_ctl(&mut self, cancel: &CancelToken) -> GrainResult<()> {
+    fn ensure_index(&mut self, cancel: &CancelToken) -> GrainResult<()> {
         let key = (
             self.config.kernel.cache_key(),
             self.config.influence_eps.to_bits(),
@@ -1154,8 +1135,7 @@ impl SelectionEngine {
         fault::point("engine.build.index", Some(cancel));
         cancel.checkpoint()?;
         let rows = &self.rows.as_ref().expect("rows ensured").1;
-        let index =
-            ActivationIndex::build_with_rule_par(rows, self.config.theta, self.config.parallelism);
+        let index = ActivationIndex::build(rows, self.config.theta, self.config.parallelism);
         self.index = Some((key, index));
         self.stats.index_builds += 1;
         Ok(())
@@ -1167,11 +1147,8 @@ impl SelectionEngine {
             fault::point("engine.build.balls", Some(cancel));
             cancel.checkpoint()?;
             let embedding = &self.embedding.as_ref().expect("embedding ensured").1;
-            let balls = distance::radius_neighbors_par(
-                embedding,
-                self.config.radius,
-                self.config.parallelism,
-            );
+            let balls =
+                distance::radius_neighbors(embedding, self.config.radius, self.config.parallelism);
             let bound = BallDiversity::union_size(&balls, self.graph.num_nodes());
             self.balls = Some((key, (Arc::new(balls), bound)));
             self.stats.diversity_builds += 1;
@@ -1184,7 +1161,7 @@ impl SelectionEngine {
         if self.nn_dmax.as_ref().map(|(k, _)| k) != Some(&key) {
             cancel.checkpoint()?;
             let embedding = &self.embedding.as_ref().expect("embedding ensured").1;
-            let dmax = distance::max_pairwise_distance_par(
+            let dmax = distance::max_pairwise_distance(
                 embedding,
                 NN_DMAX_EXACT_LIMIT,
                 self.config.parallelism,
@@ -1560,11 +1537,11 @@ mod tests {
         ] {
             assert!(count > 0, "{name} built but reported zero bytes");
         }
-        assert!(
-            bytes.influence_rows < bytes.influence_rows_nested,
-            "CSR layout ({}) must undercut the nested layout ({})",
+        // Exact CSR bytes, below the retired nested layout's `24·n + 8·nnz`.
+        let rows = engine.influence_rows();
+        assert_eq!(
             bytes.influence_rows,
-            bytes.influence_rows_nested
+            (rows.num_nodes() + 1) * std::mem::size_of::<usize>() + 8 * rows.nnz()
         );
         assert_eq!(bytes.total(), {
             bytes.transition

@@ -108,12 +108,14 @@ pub enum GrainError {
         /// The graph id whose selection panicked.
         graph: String,
     },
-    /// A [`GraphDelta`](crate::streaming::GraphDelta) failed validation
-    /// against the current corpus snapshot: an endpoint out of range, a
+    /// A corpus failed ingress validation. At register or replace: a
+    /// non-finite feature value or a non-finite or non-positive edge
+    /// weight. In a [`GraphDelta`](crate::streaming::GraphDelta), checked
+    /// against the current snapshot: also an endpoint out of range, a
     /// self-loop, an insert over a live edge, a delete of a missing edge,
-    /// a non-finite weight or feature value, a duplicate edit, or a
-    /// feature batch of the wrong width. The corpus is untouched.
-    InvalidDelta {
+    /// a duplicate edit, or a feature batch of the wrong width. The
+    /// service is untouched.
+    InvalidCorpus {
         /// Human-readable description of the violation.
         message: String,
     },
@@ -190,8 +192,8 @@ impl fmt::Display for GrainError {
                 f,
                 "selection for graph {graph:?} panicked; the failure was isolated to this request"
             ),
-            GrainError::InvalidDelta { message } => {
-                write!(f, "invalid graph delta: {message}")
+            GrainError::InvalidCorpus { message } => {
+                write!(f, "invalid corpus: {message}")
             }
             GrainError::StoreCorrupt { message } => {
                 write!(f, "artifact store: {message}; falling back to a cold build")
@@ -215,9 +217,9 @@ impl GrainError {
         }
     }
 
-    /// Wraps a delta-validation message as [`GrainError::InvalidDelta`].
-    pub fn delta(message: impl Into<String>) -> Self {
-        GrainError::InvalidDelta {
+    /// Wraps an ingress-validation message as [`GrainError::InvalidCorpus`].
+    pub fn corpus(message: impl Into<String>) -> Self {
+        GrainError::InvalidCorpus {
             message: message.into(),
         }
     }
@@ -233,9 +235,7 @@ impl GrainError {
     /// Whether a retry can plausibly succeed without any caller-side
     /// change. Exactly two classes qualify: an abandoned engine build
     /// (the racing builder died; a fresh attempt rebuilds cleanly) and a
-    /// full queue (admission-control shedding; the queue drains). This
-    /// is the whitelist [`RetryPolicy::run`](crate::retry::RetryPolicy)
-    /// consults.
+    /// full queue (admission-control shedding; the queue drains).
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -321,7 +321,7 @@ mod tests {
                 graph: "papers".into(),
             },
             GrainError::config("theta", "bad"),
-            GrainError::delta("edge (3, 3) is a self-loop"),
+            GrainError::corpus("edge (3, 3) is a self-loop"),
             GrainError::store("bad magic"),
         ] {
             assert!(!err.is_retryable(), "{err}");
@@ -340,11 +340,8 @@ mod tests {
 
     #[test]
     fn invalid_delta_renders_its_message() {
-        let e = GrainError::delta("edge (1, 2) already present");
-        assert_eq!(
-            e.to_string(),
-            "invalid graph delta: edge (1, 2) already present"
-        );
+        let e = GrainError::corpus("edge (1, 2) already present");
+        assert_eq!(e.to_string(), "invalid corpus: edge (1, 2) already present");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Neither algorithm looks at the budget before it stops: a run at budget
 //! `b` is the first `b` picks of a run at any larger budget. A complete
 //! [`GreedyTrace`] therefore answers every smaller budget, and
-//! [`replay_ctl`] turns it back into the exact trace a fresh run at that
+//! [`replay`] turns it back into the exact trace a fresh run at that
 //! budget would return — evaluation count, cancellation checkpoints and
 //! fault sites included — by re-adding the picks instead of re-evaluating
 //! candidates.
@@ -45,28 +45,14 @@ pub struct GreedyTrace {
 /// Algorithm 1: evaluates every remaining candidate each round.
 ///
 /// Ties break toward the smaller node id, making runs deterministic.
-pub fn plain_greedy(
-    objective: &mut impl MarginalObjective,
-    candidates: &[u32],
-    budget: usize,
-) -> GreedyTrace {
-    plain_greedy_ctl(
-        objective,
-        candidates,
-        budget,
-        &CancelToken::new(),
-        usize::MAX,
-    )
-}
-
-/// [`plain_greedy`] polling `cancel` at every round boundary and after
-/// every `check_every` marginal-gain evaluations. On a trip the trace is
-/// returned as-is (an exact prefix of the uncancelled run) with
-/// [`GreedyTrace::cancelled`] set; no pick is ever half-committed.
 ///
+/// Polls `cancel` at every round boundary and after every `check_every`
+/// marginal-gain evaluations (`usize::MAX` polls rounds only). On a trip
+/// the trace is returned as-is (an exact prefix of the uncancelled run)
+/// with [`GreedyTrace::cancelled`] set; no pick is ever half-committed.
 /// An untripped token changes nothing: the selection, trace, and
-/// evaluation count are bit-identical to [`plain_greedy`].
-pub fn plain_greedy_ctl(
+/// evaluation count are bit-identical at any `check_every`.
+pub fn plain_greedy(
     objective: &mut impl MarginalObjective,
     candidates: &[u32],
     budget: usize,
@@ -128,26 +114,12 @@ pub fn plain_greedy_ctl(
 /// Maintains a max-heap of `(cached_gain, candidate)`; a popped candidate
 /// whose cache is stale is re-evaluated and pushed back. Requires `F`
 /// submodular for exactness (property-tested against [`plain_greedy`]).
+///
+/// Polls `cancel` at every acceptance (round) boundary and after every
+/// `check_every` evaluations (initial heap seeding and stale
+/// re-evaluations both count). Same prefix guarantee as
+/// [`plain_greedy`]; an untripped token changes no bit.
 pub fn lazy_greedy(
-    objective: &mut impl MarginalObjective,
-    candidates: &[u32],
-    budget: usize,
-) -> GreedyTrace {
-    lazy_greedy_ctl(
-        objective,
-        candidates,
-        budget,
-        &CancelToken::new(),
-        usize::MAX,
-    )
-}
-
-/// [`lazy_greedy`] polling `cancel` at every acceptance (round) boundary
-/// and after every `check_every` evaluations (initial heap seeding and
-/// stale re-evaluations both count). Same prefix guarantee as
-/// [`plain_greedy_ctl`]; an untripped token is bit-identical to
-/// [`lazy_greedy`].
-pub fn lazy_greedy_ctl(
     objective: &mut impl MarginalObjective,
     candidates: &[u32],
     budget: usize,
@@ -245,8 +217,8 @@ pub fn lazy_greedy_ctl(
 /// `run` must be a trace of the same objective over the same candidates,
 /// and `budget` (already clamped to the candidate count) must not exceed
 /// its length unless the run completed and exhausted its candidates.
-/// The result is then bit-identical to what [`plain_greedy_ctl`] or
-/// [`lazy_greedy_ctl`] would return at `budget`: picks, objective trace
+/// The result is then bit-identical to what [`plain_greedy`] or
+/// [`lazy_greedy`] would return at `budget`: picks, objective trace
 /// (the same `add`s in the same order), and evaluation count, read from
 /// [`GreedyTrace::evaluations_at`]. Only the `add`s run — `O(budget)`
 /// commits, no marginal-gain evaluations.
@@ -257,7 +229,7 @@ pub fn lazy_greedy_ctl(
 /// the same evaluation counts, so a token or armed fault that would have
 /// stopped that run stops the replay at the same prefix. `None` crosses
 /// nothing (a replay of work that has just run).
-pub fn replay_ctl<O: MarginalObjective>(
+pub fn replay<O: MarginalObjective>(
     objective: &mut O,
     run: &GreedyTrace,
     budget: usize,
@@ -317,7 +289,7 @@ pub fn replay_ctl<O: MarginalObjective>(
 
 /// The cancellation checkpoints of a greedy run: a `greedy.round` site at
 /// each round boundary and a `greedy.eval.block` site after every
-/// `every`-th marginal-gain evaluation. Both loops and [`replay_ctl`]
+/// `every`-th marginal-gain evaluation. Both loops and [`replay`]
 /// count through this one type, so a replay crosses exactly the blocks
 /// the run it replays crossed.
 struct Checkpoints<'a> {
@@ -436,7 +408,13 @@ mod tests {
     #[test]
     fn plain_greedy_picks_heavy_element_first() {
         let mut obj = toy();
-        let trace = plain_greedy(&mut obj, &[0, 1, 2, 3, 4], 2);
+        let trace = plain_greedy(
+            &mut obj,
+            &[0, 1, 2, 3, 4],
+            2,
+            &CancelToken::new(),
+            usize::MAX,
+        );
         // Element 4 weighs 5 -> candidate 2 first, then candidate 3 (covers 4).
         assert_eq!(trace.selected, vec![2, 3]);
         assert_eq!(trace.objective_trace, vec![5.0, 9.0]);
@@ -445,9 +423,9 @@ mod tests {
     #[test]
     fn lazy_matches_plain_on_toy() {
         let mut a = toy();
-        let ta = plain_greedy(&mut a, &[0, 1, 2, 3, 4], 4);
+        let ta = plain_greedy(&mut a, &[0, 1, 2, 3, 4], 4, &CancelToken::new(), usize::MAX);
         let mut b = toy();
-        let tb = lazy_greedy(&mut b, &[0, 1, 2, 3, 4], 4);
+        let tb = lazy_greedy(&mut b, &[0, 1, 2, 3, 4], 4, &CancelToken::new(), usize::MAX);
         assert_eq!(ta.selected, tb.selected);
         assert_eq!(ta.objective_trace, tb.objective_trace);
     }
@@ -455,23 +433,23 @@ mod tests {
     #[test]
     fn lazy_uses_no_more_evaluations_per_extra_round() {
         let mut a = toy();
-        let ta = plain_greedy(&mut a, &[0, 1, 2, 3, 4], 3);
+        let ta = plain_greedy(&mut a, &[0, 1, 2, 3, 4], 3, &CancelToken::new(), usize::MAX);
         let mut b = toy();
-        let tb = lazy_greedy(&mut b, &[0, 1, 2, 3, 4], 3);
+        let tb = lazy_greedy(&mut b, &[0, 1, 2, 3, 4], 3, &CancelToken::new(), usize::MAX);
         assert!(tb.evaluations <= ta.evaluations);
     }
 
     #[test]
     fn budget_clamped_to_candidates() {
         let mut obj = toy();
-        let trace = plain_greedy(&mut obj, &[1, 2], 10);
+        let trace = plain_greedy(&mut obj, &[1, 2], 10, &CancelToken::new(), usize::MAX);
         assert_eq!(trace.selected.len(), 2);
     }
 
     #[test]
     fn duplicate_candidates_deduped() {
         let mut obj = toy();
-        let trace = plain_greedy(&mut obj, &[2, 2, 2], 3);
+        let trace = plain_greedy(&mut obj, &[2, 2, 2], 3, &CancelToken::new(), usize::MAX);
         assert_eq!(trace.selected, vec![2]);
     }
 
@@ -479,17 +457,17 @@ mod tests {
     fn tie_breaks_toward_smaller_id() {
         // Candidates 0 and 1 have identical singleton sets.
         let mut obj = Cover::new(vec![vec![0], vec![0]], vec![1.0]);
-        let plain = plain_greedy(&mut obj, &[1, 0], 1);
+        let plain = plain_greedy(&mut obj, &[1, 0], 1, &CancelToken::new(), usize::MAX);
         assert_eq!(plain.selected, vec![0]);
         let mut obj2 = Cover::new(vec![vec![0], vec![0]], vec![1.0]);
-        let lazy = lazy_greedy(&mut obj2, &[1, 0], 1);
+        let lazy = lazy_greedy(&mut obj2, &[1, 0], 1, &CancelToken::new(), usize::MAX);
         assert_eq!(lazy.selected, vec![0]);
     }
 
     #[test]
     fn empty_candidates_yield_empty_selection() {
         let mut obj = toy();
-        let trace = lazy_greedy(&mut obj, &[], 3);
+        let trace = lazy_greedy(&mut obj, &[], 3, &CancelToken::new(), usize::MAX);
         assert!(trace.selected.is_empty());
         assert_eq!(trace.evaluations, 0);
     }
@@ -499,14 +477,14 @@ mod tests {
         let token = CancelToken::new();
         for check_every in [1usize, 2, 1024] {
             let mut a = toy();
-            let plain = plain_greedy(&mut a, &[0, 1, 2, 3, 4], 4);
+            let plain = plain_greedy(&mut a, &[0, 1, 2, 3, 4], 4, &CancelToken::new(), usize::MAX);
             let mut b = toy();
-            let ctl = plain_greedy_ctl(&mut b, &[0, 1, 2, 3, 4], 4, &token, check_every);
+            let ctl = plain_greedy(&mut b, &[0, 1, 2, 3, 4], 4, &token, check_every);
             assert_eq!(plain, ctl, "plain, check_every={check_every}");
             let mut c = toy();
-            let lazy = lazy_greedy(&mut c, &[0, 1, 2, 3, 4], 4);
+            let lazy = lazy_greedy(&mut c, &[0, 1, 2, 3, 4], 4, &CancelToken::new(), usize::MAX);
             let mut d = toy();
-            let lctl = lazy_greedy_ctl(&mut d, &[0, 1, 2, 3, 4], 4, &token, check_every);
+            let lctl = lazy_greedy(&mut d, &[0, 1, 2, 3, 4], 4, &token, check_every);
             assert_eq!(lazy, lctl, "lazy, check_every={check_every}");
         }
     }
@@ -516,11 +494,11 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut a = toy();
-        let plain = plain_greedy_ctl(&mut a, &[0, 1, 2, 3, 4], 3, &token, 1);
+        let plain = plain_greedy(&mut a, &[0, 1, 2, 3, 4], 3, &token, 1);
         assert!(plain.selected.is_empty());
         assert_eq!(plain.cancelled, Some(CancelCause::Caller));
         let mut b = toy();
-        let lazy = lazy_greedy_ctl(&mut b, &[0, 1, 2, 3, 4], 3, &token, 1);
+        let lazy = lazy_greedy(&mut b, &[0, 1, 2, 3, 4], 3, &token, 1);
         assert!(lazy.selected.is_empty());
         assert_eq!(lazy.cancelled, Some(CancelCause::Caller));
     }
@@ -575,8 +553,8 @@ mod tests {
         check_every: usize,
     ) -> GreedyTrace {
         match algorithm {
-            GreedyAlgorithm::Plain => plain_greedy_ctl(obj, cands, budget, cancel, check_every),
-            GreedyAlgorithm::Lazy => lazy_greedy_ctl(obj, cands, budget, cancel, check_every),
+            GreedyAlgorithm::Plain => plain_greedy(obj, cands, budget, cancel, check_every),
+            GreedyAlgorithm::Lazy => lazy_greedy(obj, cands, budget, cancel, check_every),
         }
     }
 
@@ -646,7 +624,7 @@ mod tests {
                         1024,
                     );
                     let mut picked = 0;
-                    let replay = replay_ctl(
+                    let replay = replay(
                         &mut random_cover(seed, 24, 30),
                         &source,
                         budget,
@@ -711,7 +689,7 @@ mod tests {
                             b.cancel();
                         }
                         let fresh = run(algorithm, &mut trip(&a), &cands, budget, &a, check_every);
-                        let replay = replay_ctl(
+                        let replay = replay(
                             &mut trip(&b),
                             &source,
                             budget,
@@ -734,9 +712,9 @@ mod tests {
         for (algo, name) in [(false, "plain"), (true, "lazy")] {
             let mut oracle_obj = toy();
             let oracle = if algo {
-                lazy_greedy(&mut oracle_obj, &cands, 4)
+                lazy_greedy(&mut oracle_obj, &cands, 4, &CancelToken::new(), usize::MAX)
             } else {
-                plain_greedy(&mut oracle_obj, &cands, 4)
+                plain_greedy(&mut oracle_obj, &cands, 4, &CancelToken::new(), usize::MAX)
             };
             for trip_at in 1..=oracle.evaluations {
                 let token = CancelToken::new();
@@ -747,9 +725,9 @@ mod tests {
                     evals: 0,
                 };
                 let got = if algo {
-                    lazy_greedy_ctl(&mut obj, &cands, 4, &token, 1)
+                    lazy_greedy(&mut obj, &cands, 4, &token, 1)
                 } else {
-                    plain_greedy_ctl(&mut obj, &cands, 4, &token, 1)
+                    plain_greedy(&mut obj, &cands, 4, &token, 1)
                 };
                 assert!(
                     got.selected.len() <= oracle.selected.len(),

@@ -76,7 +76,6 @@ pub mod fault;
 pub mod greedy;
 pub mod objective;
 pub mod prune;
-pub mod retry;
 pub mod scheduler;
 pub mod selector;
 pub mod service;
@@ -89,7 +88,6 @@ pub use edge::{EdgeClient, EdgeConfig, EdgeServer, EdgeStats, TenantSpec, TokenB
 pub use engine::{ArtifactBytes, EngineStats, PatchTimings, SelectionEngine, TraceStats};
 pub use error::{DeadlineStage, GrainError, GrainResult};
 pub use objective::DimObjective;
-pub use retry::RetryPolicy;
 pub use scheduler::{
     CancelHandle, FairShare, ScheduledRequest, Scheduler, SchedulerConfig, SchedulerStats,
     TenantStats, Ticket,

@@ -167,14 +167,14 @@ mod tests {
     use super::*;
     use crate::diversity::{BallDiversity, NullDiversity};
     use grain_graph::{generators, transition_matrix, TransitionKind};
-    use grain_influence::InfluenceRows;
+    use grain_influence::{InfluenceRows, ThetaRule};
     use grain_linalg::{distance, DenseMatrix};
 
     fn setup(n: usize, seed: u64) -> (ActivationIndex, DenseMatrix) {
         let g = generators::erdos_renyi_gnm(n, n * 3, seed);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
         let rows = InfluenceRows::compute(&t, 2, 0.0);
-        let idx = ActivationIndex::build(&rows, 0.05);
+        let idx = ActivationIndex::build(&rows, ThetaRule::FixedAbsolute(0.05), 1);
         let feats = DenseMatrix::from_vec(
             n,
             4,
@@ -182,7 +182,7 @@ mod tests {
                 .map(|i| ((i * 31 % 17) as f32) * 0.1 + 0.01)
                 .collect(),
         );
-        let emb = distance::normalized_embedding(&feats);
+        let emb = distance::normalized_embedding(&feats, 1);
         (idx, emb)
     }
 

@@ -1040,10 +1040,7 @@ pub struct SelectionReport {
     /// request was answered entirely from warm artifacts.
     pub artifact_builds: EngineStats,
     /// Resident bytes of every artifact class the answering engine holds
-    /// after this request — warm or newly built. The influence-rows
-    /// entry also reports what the retired nested `Vec<Vec<…>>` layout
-    /// would have occupied, so the flat-CSR saving is observable per
-    /// request ([`ArtifactBytes`]).
+    /// after this request — warm or newly built ([`ArtifactBytes`]).
     pub artifact_bytes: ArtifactBytes,
     /// Pool counters after the request.
     pub pool_stats: PoolStats,
@@ -1299,6 +1296,11 @@ impl GrainService {
     /// [`GrainService::apply_update`](crate::streaming) (incremental) or
     /// [`GrainService::replace_graph`] (wholesale swap), both of which
     /// advance the epoch instead of touching the registered snapshot.
+    ///
+    /// Fails with [`GrainError::FeatureShape`] unless there is one feature
+    /// row per node, and with [`GrainError::InvalidCorpus`] for a
+    /// non-finite feature or a non-finite or non-positive edge weight; a
+    /// refused corpus is not registered.
     pub fn register_graph(
         &self,
         id: impl Into<String>,
@@ -1308,12 +1310,7 @@ impl GrainService {
         let id = id.into();
         let graph = graph.into();
         let features = features.into();
-        if features.rows() != graph.num_nodes() {
-            return Err(GrainError::FeatureShape {
-                feature_rows: features.rows(),
-                num_nodes: graph.num_nodes(),
-            });
-        }
+        crate::streaming::validate_corpus(&graph, &features)?;
         // Only worth hashing the corpus when artifacts will be persisted
         // under its fingerprint.
         let fingerprint = if self.store.is_some() {
@@ -1372,7 +1369,9 @@ impl GrainService {
     /// snapshot (their engines are keyed by the old epoch); new requests
     /// build fresh engines over the replacement. Fails with
     /// [`GrainError::UnknownGraph`] if `id` was never registered (use
-    /// [`GrainService::register_graph`] for first registration).
+    /// [`GrainService::register_graph`] for first registration), and
+    /// refuses the replacement as `register_graph` would refuse it, with
+    /// the epoch left unchanged.
     pub fn replace_graph(
         &self,
         id: &str,
@@ -1381,12 +1380,7 @@ impl GrainService {
     ) -> GrainResult<u64> {
         let graph = graph.into();
         let features = features.into();
-        if features.rows() != graph.num_nodes() {
-            return Err(GrainError::FeatureShape {
-                feature_rows: features.rows(),
-                num_nodes: graph.num_nodes(),
-            });
-        }
+        crate::streaming::validate_corpus(&graph, &features)?;
         let _update = self.update.lock().unwrap_or_else(PoisonError::into_inner);
         // A replacement shares no lineage with the old snapshot, so its
         // fingerprint is a fresh corpus hash, not a delta-mixed one.
@@ -2200,10 +2194,6 @@ mod tests {
             .select(&SelectionRequest::new("a", cfg, Budget::Fixed(5)))
             .unwrap();
         assert!(ra.artifact_bytes.influence_rows > 0);
-        assert!(
-            ra.artifact_bytes.influence_rows < ra.artifact_bytes.influence_rows_nested,
-            "CSR rows must undercut the nested layout"
-        );
         assert!(ra.artifact_bytes.total() > 0);
         assert_eq!(
             service.pool_stats().resident_bytes,

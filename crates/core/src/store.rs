@@ -946,8 +946,7 @@ mod tests {
     fn index_round_trip_is_bit_identical() {
         let scratch = ScratchDir::new("store-index");
         let store = ArtifactStore::open(scratch.path()).unwrap();
-        let idx =
-            ActivationIndex::build_with_rule(&sample_rows(), ThetaRule::RelativeToRowMax(0.25));
+        let idx = ActivationIndex::build(&sample_rows(), ThetaRule::RelativeToRowMax(0.25), 1);
         store.save_index(&addr(1), &idx).unwrap();
         let back = store.load_index(&addr(1)).unwrap().expect("present");
         assert_eq!(back.offsets(), idx.offsets());

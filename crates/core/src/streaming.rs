@@ -52,7 +52,7 @@
 use crate::engine::{PatchTimings, SelectionEngine};
 use crate::error::{GrainError, GrainResult};
 use crate::service::{GrainService, PoolKey};
-use grain_graph::{apply_edge_edits, k_hop_ball, Graph, TransitionKind};
+use grain_graph::{apply_edge_edits, check_weight, k_hop_ball, Graph, TransitionKind};
 use grain_linalg::DenseMatrix;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, TryLockError};
@@ -149,23 +149,19 @@ impl GraphDelta {
         let mut seen: Vec<u32> = Vec::with_capacity(self.feature_rows.len());
         for (v, row) in &self.feature_rows {
             if *v as usize >= n {
-                return Err(GrainError::delta(format!(
+                return Err(GrainError::corpus(format!(
                     "feature row {v} out of range for a corpus of {n} nodes"
                 )));
             }
             if row.len() != d {
-                return Err(GrainError::delta(format!(
+                return Err(GrainError::corpus(format!(
                     "feature row {v} has width {}, corpus has {d}",
                     row.len()
                 )));
             }
-            if let Some(bad) = row.iter().find(|x| !x.is_finite()) {
-                return Err(GrainError::delta(format!(
-                    "feature row {v} contains non-finite value {bad}"
-                )));
-            }
+            validate_feature_row(*v as usize, row)?;
             if seen.contains(v) {
-                return Err(GrainError::delta(format!(
+                return Err(GrainError::corpus(format!(
                     "feature row {v} is overwritten twice in one delta"
                 )));
             }
@@ -314,7 +310,7 @@ impl GrainService {
     /// after it run on the new one.
     ///
     /// Fails with [`GrainError::UnknownGraph`] for an unregistered id and
-    /// [`GrainError::InvalidDelta`] for an inconsistent delta (endpoint
+    /// [`GrainError::InvalidCorpus`] for an inconsistent delta (endpoint
     /// out of range, self-loop, insert of a live edge, delete of a
     /// missing edge, non-finite weight or feature, duplicate edit, wrong
     /// feature width, or an empty delta). On error the corpus and every
@@ -325,7 +321,7 @@ impl GrainService {
         let _update = self.update.lock().unwrap_or_else(PoisonError::into_inner);
         let (old_graph, old_features, from_epoch, old_fingerprint) = self.corpus(graph_id)?;
         if delta.is_empty() {
-            return Err(GrainError::delta("delta contains no edits"));
+            return Err(GrainError::corpus("delta contains no edits"));
         }
         delta.validate_features(&old_features)?;
 
@@ -337,7 +333,7 @@ impl GrainService {
             (Arc::clone(&old_graph), Vec::new())
         } else {
             let (g, endpoints) = apply_edge_edits(&old_graph, &delta.inserts, &delta.deletes)
-                .map_err(|e| GrainError::delta(e.to_string()))?;
+                .map_err(|e| GrainError::corpus(e.to_string()))?;
             (Arc::new(g), endpoints)
         };
         let new_features = if delta.feature_rows.is_empty() {
@@ -493,6 +489,37 @@ impl GrainService {
             patch_time,
             total_time: t0.elapsed(),
         })
+    }
+}
+
+/// The ingress policy for a corpus entering the service whole (register
+/// or replace): one feature row per node, every feature finite, and every
+/// stored edge weight finite and positive — the weight rule
+/// [`apply_edge_edits`] holds each delta's inserts to. A delta's feature
+/// rows go through the same per-row check ([`validate_feature_row`]).
+pub(crate) fn validate_corpus(graph: &Graph, features: &DenseMatrix) -> GrainResult<()> {
+    if features.rows() != graph.num_nodes() {
+        return Err(GrainError::FeatureShape {
+            feature_rows: features.rows(),
+            num_nodes: graph.num_nodes(),
+        });
+    }
+    for v in 0..features.rows() {
+        validate_feature_row(v, features.row(v))?;
+    }
+    for (u, v, w) in graph.adjacency().iter_triplets() {
+        check_weight(u, v, w).map_err(|e| GrainError::corpus(e.to_string()))?;
+    }
+    Ok(())
+}
+
+/// Rejects feature row `v` if it holds a non-finite value.
+fn validate_feature_row(v: usize, row: &[f32]) -> GrainResult<()> {
+    match row.iter().find(|x| !x.is_finite()) {
+        Some(bad) => Err(GrainError::corpus(format!(
+            "feature row {v} contains non-finite value {bad}"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -715,7 +742,7 @@ mod tests {
         ] {
             let err = service.apply_update("g", &delta).unwrap_err();
             assert!(
-                matches!(err, GrainError::InvalidDelta { .. }),
+                matches!(err, GrainError::InvalidCorpus { .. }),
                 "{delta:?} -> {err}"
             );
             assert!(err.to_string().contains(needle), "{err} !~ {needle}");

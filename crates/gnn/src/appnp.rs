@@ -67,7 +67,7 @@ impl AppnpModel {
     fn ppr_propagate(&self, z0: &DenseMatrix) -> DenseMatrix {
         let mut z = z0.clone();
         for _ in 0..self.k {
-            let mut next = self.a_hat.spmm(&z);
+            let mut next = self.a_hat.spmm(&z, 0);
             ops::scale(&mut next, 1.0 - self.alpha);
             ops::axpy(&mut next, self.alpha, z0);
             z = next;

@@ -48,7 +48,7 @@ impl GcnModel {
         );
         assert!(num_classes >= 2 && hidden >= 1);
         let a_hat = transition_matrix(graph, TransitionKind::Symmetric, true);
-        let ax = a_hat.spmm(features);
+        let ax = a_hat.spmm(features, 0);
         let d = features.cols();
         Self {
             a_hat,
@@ -68,7 +68,7 @@ impl GcnModel {
     fn forward_eval(&self) -> DenseMatrix {
         let mut h1 = ops::matmul(&self.ax, &self.w1);
         relu_inplace(&mut h1);
-        let ah1 = self.a_hat.spmm(&h1);
+        let ah1 = self.a_hat.spmm(&h1, 0);
         softmax_rows(&ops::matmul(&ah1, &self.w2))
     }
 }
@@ -106,7 +106,7 @@ impl Model for GcnModel {
             relu_inplace(&mut h1);
             let mask = dropout_mask(n, self.hidden, cfg.dropout, cfg.seed ^ (epoch as u64) << 1);
             let h1d = ops::hadamard(&h1, &mask);
-            let ah1 = self.a_hat.spmm(&h1d);
+            let ah1 = self.a_hat.spmm(&h1d, 0);
             let z2 = ops::matmul(&ah1, &self.w2);
             // ---- loss ----
             let (loss, dz2) = masked_cross_entropy(&z2, labels, train_idx);
@@ -115,7 +115,7 @@ impl Model for GcnModel {
             let mut dw2 = ops::matmul_tn(&ah1, &dz2);
             ops::axpy(&mut dw2, cfg.weight_decay, &self.w2);
             let dah1 = ops::matmul_nt(&dz2, &self.w2);
-            let dh1d = self.a_hat.spmm(&dah1); // Â^T = Â
+            let dh1d = self.a_hat.spmm(&dah1, 0); // Â^T = Â
             let mut dz1 = ops::hadamard(&dh1d, &mask);
             relu_backward_inplace(&mut dz1, &z1);
             let mut dw1 = ops::matmul_tn(&self.ax, &dz1);

@@ -125,9 +125,9 @@ pub mod prelude {
         DiversityKind, EdgeClient, EdgeConfig, EdgeServer, EdgeStats, EngineCheckout, EngineStats,
         EpochReport, GrainConfig, GrainError, GrainResult, GrainSelector, GrainService,
         GrainVariant, GraphDelta, GreedyAlgorithm, OnDeadline, PoolEvent, PoolStats, PruneStrategy,
-        RetryPolicy, ScheduledRequest, Scheduler, SchedulerConfig, SchedulerStats, ScratchDir,
-        SelectionEngine, SelectionOutcome, SelectionReport, SelectionRequest, StoreStats,
-        TenantSpec, Ticket, TokenBucket,
+        ScheduledRequest, Scheduler, SchedulerConfig, SchedulerStats, ScratchDir, SelectionEngine,
+        SelectionOutcome, SelectionReport, SelectionRequest, StoreStats, TenantSpec, Ticket,
+        TokenBucket,
     };
     pub use grain_data::{Dataset, Split};
     pub use grain_gnn::{Model, TrainConfig, TrainReport};

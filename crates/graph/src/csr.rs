@@ -260,22 +260,14 @@ impl CsrMatrix {
         }
     }
 
-    /// Sparse × dense product `self * rhs`, parallel over output rows.
+    /// Sparse × dense product `self * rhs` over `threads` workers (`0` =
+    /// auto), parallel over output rows. Each output row is accumulated by
+    /// exactly one worker in the same left-to-right entry order, so the
+    /// product is bit-identical at any thread count.
     ///
     /// # Panics
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn spmm(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        self.spmm_par(rhs, 0)
-    }
-
-    /// [`CsrMatrix::spmm`] over `threads` workers (`0` = auto). Each
-    /// output row is accumulated by exactly one worker in the same
-    /// left-to-right entry order, so the product is bit-identical at any
-    /// thread count.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn spmm_par(&self, rhs: &DenseMatrix, threads: usize) -> DenseMatrix {
+    pub fn spmm(&self, rhs: &DenseMatrix, threads: usize) -> DenseMatrix {
         assert_eq!(
             self.cols,
             rhs.rows(),
@@ -489,7 +481,7 @@ mod tests {
     fn spmm_matches_dense() {
         let m = small();
         let x = DenseMatrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let y = m.spmm(&x);
+        let y = m.spmm(&x, 0);
         // Row 0: 1*[3,4] + 2*[5,6] = [13, 16]
         assert_eq!(y.row(0), &[13., 16.]);
         assert_eq!(y.row(1), &[3., 6.]);
@@ -507,9 +499,9 @@ mod tests {
             5,
             (0..600).map(|i| ((i * 31 % 17) as f32) * 0.1).collect(),
         );
-        let serial = m.spmm_par(&x, 1);
+        let serial = m.spmm(&x, 1);
         for threads in [2usize, 3, 8] {
-            assert_eq!(m.spmm_par(&x, threads), serial, "{threads} threads");
+            assert_eq!(m.spmm(&x, threads), serial, "{threads} threads");
         }
     }
 

@@ -99,6 +99,17 @@ fn undirected(u: u32, v: u32) -> (u32, u32) {
     (u.min(v), u.max(v))
 }
 
+/// The edge-weight policy: finite and strictly positive. Every insert is
+/// held to it here, and a serving tier holds every stored weight of an
+/// incoming corpus to it too.
+pub fn check_weight(u: u32, v: u32, weight: f32) -> Result<(), EditError> {
+    if weight.is_finite() && weight > 0.0 {
+        Ok(())
+    } else {
+        Err(EditError::BadWeight { u, v, weight })
+    }
+}
+
 /// Applies a batch of edge deletions and insertions, returning the edited
 /// graph and the sorted, deduplicated list of **touched endpoints** (the
 /// seed set for dirty-set expansion).
@@ -152,9 +163,7 @@ pub fn apply_edge_edits(
         if u == v {
             return Err(EditError::SelfLoop { node: u });
         }
-        if !(w.is_finite() && w > 0.0) {
-            return Err(EditError::BadWeight { u, v, weight: w });
-        }
+        check_weight(u, v, w)?;
         let key = undirected(u, v);
         if seen_inserts.contains(&key) {
             return Err(EditError::DuplicateEdit { u, v });

@@ -44,6 +44,6 @@ pub mod transition;
 pub mod triangle;
 
 pub use csr::CsrMatrix;
-pub use edit::{apply_edge_edits, k_hop_ball, EditError};
+pub use edit::{apply_edge_edits, check_weight, k_hop_ball, EditError};
 pub use graph::Graph;
 pub use transition::{transition_matrix, transition_rows, TransitionKind};

@@ -110,13 +110,15 @@ impl<'a> CoverageState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ThetaRule;
     use crate::walk::InfluenceRows;
     use grain_graph::{generators, transition_matrix, TransitionKind};
 
     fn index(n: usize, m: usize, seed: u64, theta: f32) -> ActivationIndex {
         let g = generators::erdos_renyi_gnm(n, m, seed);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
-        ActivationIndex::build(&InfluenceRows::compute(&t, 2, 0.0), theta)
+        let rows = InfluenceRows::compute(&t, 2, 0.0);
+        ActivationIndex::build(&rows, ThetaRule::FixedAbsolute(theta), 1)
     }
 
     #[test]

@@ -72,19 +72,9 @@ pub struct ActivationIndex {
 }
 
 impl ActivationIndex {
-    /// Builds the index from influence rows at absolute threshold `theta`
-    /// (Eq. 8 / Definition 3.2 verbatim).
-    pub fn build(rows: &InfluenceRows, theta: f32) -> Self {
-        Self::build_with_rule(rows, ThetaRule::FixedAbsolute(theta))
-    }
-
-    /// Builds the index under the given [`ThetaRule`].
-    pub fn build_with_rule(rows: &InfluenceRows, rule: ThetaRule) -> Self {
-        Self::build_with_rule_par(rows, rule, 1)
-    }
-
-    /// [`ActivationIndex::build_with_rule`] inverting the influence rows
-    /// over `threads` workers (`0` = auto).
+    /// Builds the index from influence rows under the given [`ThetaRule`],
+    /// inverting the rows over `threads` workers (`0` = auto).
+    /// `ThetaRule::FixedAbsolute` is Eq. 8 / Definition 3.2 verbatim.
     ///
     /// Determinism: workers extract the qualifying `(seed, node)` pairs
     /// of contiguous `v`-ranges in parallel (the threshold scan is the
@@ -94,7 +84,7 @@ impl ActivationIndex {
     /// and bit-identical at any thread count. Auxiliary memory is
     /// proportional to the *output* (one pair per activation) plus one
     /// cursor array — not to `workers × n`.
-    pub fn build_with_rule_par(rows: &InfluenceRows, rule: ThetaRule, threads: usize) -> Self {
+    pub fn build(rows: &InfluenceRows, rule: ThetaRule, threads: usize) -> Self {
         let n = rows.num_nodes();
         let (theta, relative) = match rule {
             ThetaRule::FixedAbsolute(t) => (t, false),
@@ -164,7 +154,7 @@ impl ActivationIndex {
 
     /// Incrementally repairs the index after the given `dirty` influence
     /// rows were rebuilt, producing the index a cold
-    /// [`ActivationIndex::build_with_rule_par`] over `new_rows` would —
+    /// [`ActivationIndex::build`] over `new_rows` would —
     /// bit-identically — without re-scanning clean rows.
     ///
     /// Every inverted entry `(u, v)` with a dirty `v` is dropped from the
@@ -178,7 +168,7 @@ impl ActivationIndex {
     /// serial rebuild.
     pub fn repaired(&self, new_rows: &InfluenceRows, rule: ThetaRule, dirty: &[u32]) -> Self {
         if let ThetaRule::GlobalQuantile(_) = rule {
-            return Self::build_with_rule_par(new_rows, rule, 1);
+            return Self::build(new_rows, rule, 1);
         }
         let n = self.num_nodes();
         assert_eq!(new_rows.num_nodes(), n, "row universe must match");
@@ -386,7 +376,7 @@ mod tests {
     #[test]
     fn threshold_zero_lists_all_reachable() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let idx = ActivationIndex::build(&rows(&g, 1), 0.0);
+        let idx = ActivationIndex::build(&rows(&g, 1), ThetaRule::FixedAbsolute(0.0), 1);
         // One step from node 1 reaches {0, 1, 2}; so each is activated by 1.
         assert_eq!(idx.activated_by(1), &[0, 1, 2]);
     }
@@ -395,8 +385,8 @@ mod tests {
     fn higher_threshold_shrinks_lists() {
         let g = generators::erdos_renyi_gnm(50, 120, 6);
         let r = rows(&g, 2);
-        let loose = ActivationIndex::build(&r, 0.0);
-        let tight = ActivationIndex::build(&r, 0.3);
+        let loose = ActivationIndex::build(&r, ThetaRule::FixedAbsolute(0.0), 1);
+        let tight = ActivationIndex::build(&r, ThetaRule::FixedAbsolute(0.3), 1);
         assert!(tight.total_entries() <= loose.total_entries());
         for u in 0..50 {
             for v in tight.activated_by(u) {
@@ -408,7 +398,7 @@ mod tests {
     #[test]
     fn sigma_is_union_of_lists() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-        let idx = ActivationIndex::build(&rows(&g, 1), 0.1);
+        let idx = ActivationIndex::build(&rows(&g, 1), ThetaRule::FixedAbsolute(0.1), 1);
         let s01 = idx.sigma(&[0]);
         let s23 = idx.sigma(&[2]);
         let both = idx.sigma(&[0, 2]);
@@ -422,7 +412,7 @@ mod tests {
     #[test]
     fn sigma_monotone_in_seed_set() {
         let g = generators::erdos_renyi_gnm(30, 70, 8);
-        let idx = ActivationIndex::build(&rows(&g, 2), 0.1);
+        let idx = ActivationIndex::build(&rows(&g, 2), ThetaRule::FixedAbsolute(0.1), 1);
         let small = idx.sigma_size(&[1, 5]);
         let big = idx.sigma_size(&[1, 5, 9, 13]);
         assert!(big >= small);
@@ -431,7 +421,7 @@ mod tests {
     #[test]
     fn max_coverage_bound_bounds_every_sigma() {
         let g = generators::erdos_renyi_gnm(40, 100, 9);
-        let idx = ActivationIndex::build(&rows(&g, 2), 0.05);
+        let idx = ActivationIndex::build(&rows(&g, 2), ThetaRule::FixedAbsolute(0.05), 1);
         let all: Vec<u32> = (0..40u32).collect();
         assert_eq!(idx.sigma_size(&all), idx.max_coverage_bound());
     }
@@ -441,7 +431,7 @@ mod tests {
         // Under RelativeToRowMax every node appears in at least the list of
         // its strongest influencer, so sigma over all seeds covers V.
         let g = generators::erdos_renyi_gnm(40, 100, 12);
-        let idx = ActivationIndex::build_with_rule(&rows(&g, 2), ThetaRule::RelativeToRowMax(0.25));
+        let idx = ActivationIndex::build(&rows(&g, 2), ThetaRule::RelativeToRowMax(0.25), 1);
         let all: Vec<u32> = (0..40u32).collect();
         assert_eq!(idx.sigma_size(&all), 40);
     }
@@ -450,8 +440,8 @@ mod tests {
     fn relative_rule_monotone_in_theta() {
         let g = generators::erdos_renyi_gnm(40, 100, 13);
         let r = rows(&g, 2);
-        let loose = ActivationIndex::build_with_rule(&r, ThetaRule::RelativeToRowMax(0.1));
-        let tight = ActivationIndex::build_with_rule(&r, ThetaRule::RelativeToRowMax(0.9));
+        let loose = ActivationIndex::build(&r, ThetaRule::RelativeToRowMax(0.1), 1);
+        let tight = ActivationIndex::build(&r, ThetaRule::RelativeToRowMax(0.9), 1);
         assert!(tight.total_entries() <= loose.total_entries());
     }
 
@@ -459,7 +449,7 @@ mod tests {
     fn quantile_rule_matches_manual_threshold() {
         let g = generators::erdos_renyi_gnm(30, 70, 14);
         let r = rows(&g, 2);
-        let idx = ActivationIndex::build_with_rule(&r, ThetaRule::GlobalQuantile(0.5));
+        let idx = ActivationIndex::build(&r, ThetaRule::GlobalQuantile(0.5), 1);
         // Roughly half of all influence entries should clear the median.
         let kept = idx.total_entries();
         let total: usize = (0..30).map(|v| r.row_nnz(v)).sum();
@@ -484,9 +474,9 @@ mod tests {
             ThetaRule::RelativeToRowMax(0.25),
             ThetaRule::GlobalQuantile(0.5),
         ] {
-            let serial = ActivationIndex::build_with_rule_par(&r, rule, 1);
+            let serial = ActivationIndex::build(&r, rule, 1);
             for threads in [2usize, 3, 8] {
-                let par = ActivationIndex::build_with_rule_par(&r, rule, threads);
+                let par = ActivationIndex::build(&r, rule, threads);
                 assert_eq!(par.theta(), serial.theta(), "{rule:?}");
                 for u in 0..200 {
                     assert_eq!(
@@ -522,8 +512,8 @@ mod tests {
             ThetaRule::RelativeToRowMax(0.25),
             ThetaRule::GlobalQuantile(0.5),
         ] {
-            let old_idx = ActivationIndex::build_with_rule(&old_rows, rule);
-            let cold = ActivationIndex::build_with_rule(&new_rows, rule);
+            let old_idx = ActivationIndex::build(&old_rows, rule, 1);
+            let cold = ActivationIndex::build(&new_rows, rule, 1);
             let repaired = old_idx.repaired(&new_rows, rule, &dirty);
             assert_eq!(repaired.offsets, cold.offsets, "{rule:?}");
             assert_eq!(repaired.items, cold.items, "{rule:?}");
@@ -540,7 +530,7 @@ mod tests {
     fn repaired_with_empty_dirty_set_is_identity() {
         let g = generators::barabasi_albert(80, 3, 4);
         let r = rows(&g, 2);
-        let idx = ActivationIndex::build_with_rule(&r, ThetaRule::RelativeToRowMax(0.25));
+        let idx = ActivationIndex::build(&r, ThetaRule::RelativeToRowMax(0.25), 1);
         let same = idx.repaired(&r, ThetaRule::RelativeToRowMax(0.25), &[]);
         assert_eq!(same.offsets, idx.offsets);
         assert_eq!(same.items, idx.items);
@@ -549,7 +539,7 @@ mod tests {
     #[test]
     fn activation_lists_sorted() {
         let g = generators::barabasi_albert(60, 2, 10);
-        let idx = ActivationIndex::build(&rows(&g, 2), 0.01);
+        let idx = ActivationIndex::build(&rows(&g, 2), ThetaRule::FixedAbsolute(0.01), 1);
         for u in 0..60 {
             let lst = idx.activated_by(u);
             assert!(lst.windows(2).all(|w| w[0] < w[1]));

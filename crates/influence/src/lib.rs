@@ -34,7 +34,7 @@
 //!
 //! // Inverted into the activation index act[u] = {v : I_v(u, 2) > θ}
 //! // (Definition 3.2), |σ(S)| becomes an incremental coverage count.
-//! let index = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.25));
+//! let index = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.25), 1);
 //! let sigma = index.sigma(&[0, 1]);
 //! assert!(sigma.len() >= index.sigma(&[0]).len(), "coverage is monotone");
 //! ```

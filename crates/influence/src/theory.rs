@@ -106,7 +106,7 @@ fn with(s: &[u32], x: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::ActivationIndex;
+    use crate::index::{ActivationIndex, ThetaRule};
     use crate::walk::InfluenceRows;
     use grain_graph::{generators, transition_matrix, TransitionKind};
 
@@ -136,7 +136,8 @@ mod tests {
         // Theorem 3.3 validated on a concrete random instance.
         let g = generators::erdos_renyi_gnm(25, 60, 11);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
-        let idx = ActivationIndex::build(&InfluenceRows::compute(&t, 2, 0.0), 0.05);
+        let rows = InfluenceRows::compute(&t, 2, 0.0);
+        let idx = ActivationIndex::build(&rows, ThetaRule::FixedAbsolute(0.05), 1);
         let universe: Vec<u32> = (0..8).collect();
         let mut f = |s: &[u32]| idx.sigma_size(s) as f64;
         check_all_chains(&mut f, &universe).unwrap();

@@ -17,15 +17,13 @@
 //! no 24-byte `Vec` header per node, and columns/values stream through the
 //! greedy hot loops as two contiguous arrays. At `n` nodes and `nnz`
 //! stored entries the artifact occupies `8·(n+1) + 8·nnz` bytes
-//! ([`InfluenceRows::resident_bytes`], exact) versus `24·n + 8·nnz` for
-//! the retired nested layout ([`InfluenceRows::nested_layout_bytes`]) —
-//! strictly smaller for every non-empty graph. Parallel builds write
+//! ([`InfluenceRows::resident_bytes`], exact). Parallel builds write
 //! per-worker flat chunks for contiguous row ranges and stitch them in
 //! rank order, so the layout is bit-identical at any thread count.
 //!
 //! # Row truncation
 //!
-//! Builders accept an optional `top_k` (0 = off): each row keeps only its
+//! The builder accepts an optional `top_k` (0 = off): each row keeps only its
 //! `top_k` heaviest entries (ties broken toward the smaller column id)
 //! **before** Eq. 8 normalization, bounding `nnz` by `top_k · n` on
 //! hub-heavy graphs where ε-pruning alone is not enough. Truncation
@@ -202,129 +200,48 @@ pub struct InfluenceRows {
 }
 
 impl InfluenceRows {
-    /// Computes `I_v(·, k)` for every `v`, pruning entries `< eps` between
-    /// steps.
+    /// Computes `I_v(·, k)` for every `v` (the Eq. 8 `T^k` form), pruning
+    /// entries `< eps` between steps.
     ///
     /// # Panics
     /// Panics if `t` is not square.
     pub fn compute(t: &CsrMatrix, k: usize, eps: f32) -> Self {
         let mut weights = vec![0.0; k + 1];
         weights[k] = 1.0;
-        Self::compute_weighted(t, &weights, eps)
-    }
-
-    /// Influence rows under the exact Jacobian of `kernel` (Definition 3.1):
-    /// a `c_l`-weighted sum of walk powers per [`kernel_power_weights`].
-    pub fn for_kernel(t: &CsrMatrix, kernel: Kernel, eps: f32) -> Self {
-        Self::compute_weighted(t, &kernel_power_weights(kernel), eps)
-    }
-
-    /// [`InfluenceRows::for_kernel`] over `threads` workers (`0` = auto).
-    pub fn for_kernel_par(t: &CsrMatrix, kernel: Kernel, eps: f32, threads: usize) -> Self {
-        Self::compute_weighted_par(t, &kernel_power_weights(kernel), eps, threads)
-    }
-
-    /// [`InfluenceRows::for_kernel_par`] with a cooperative stop probe
-    /// (see [`InfluenceRows::compute_weighted_topk_ctl`]).
-    pub fn for_kernel_ctl(
-        t: &CsrMatrix,
-        kernel: Kernel,
-        eps: f32,
-        threads: usize,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) -> Option<Self> {
-        Self::compute_weighted_topk_ctl(
-            t,
-            &kernel_power_weights(kernel),
-            eps,
-            0,
-            threads,
-            should_stop,
-        )
-    }
-
-    /// [`InfluenceRows::for_kernel_ctl`] with per-row truncation to the
-    /// `top_k` heaviest entries (`0` = off; see the module docs).
-    pub fn for_kernel_topk_ctl(
-        t: &CsrMatrix,
-        kernel: Kernel,
-        eps: f32,
-        top_k: usize,
-        threads: usize,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) -> Option<Self> {
-        Self::compute_weighted_topk_ctl(
-            t,
-            &kernel_power_weights(kernel),
-            eps,
-            top_k,
-            threads,
-            should_stop,
-        )
+        Self::compute_weighted(t, &weights, eps, 0, 0, &|| false)
+            .expect("influence rows with a never-stopping probe cannot be cancelled")
     }
 
     /// Computes normalized rows of `Σ_l weights[l] · T^l`, pruning frontier
-    /// entries `< eps` between steps.
-    ///
-    /// # Panics
-    /// Panics if `t` is not square or `weights` is empty.
-    pub fn compute_weighted(t: &CsrMatrix, weights: &[f32], eps: f32) -> Self {
-        Self::compute_weighted_par(t, weights, eps, 0)
-    }
-
-    /// [`InfluenceRows::compute_weighted`] over `threads` workers
-    /// (`0` = auto). Every row `v` is scatter-gathered start to finish by
-    /// exactly one worker with thread-local scratch, and each worker's flat
-    /// chunk is stitched into the CSR in rank (= row) order, so the rows
-    /// are bit-identical at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `t` is not square or `weights` is empty.
-    pub fn compute_weighted_par(t: &CsrMatrix, weights: &[f32], eps: f32, threads: usize) -> Self {
-        Self::compute_weighted_topk_ctl(t, weights, eps, 0, threads, &|| false)
-            .expect("influence rows with a never-stopping probe cannot be cancelled")
-    }
-
-    /// [`InfluenceRows::compute_weighted_par`] with per-row truncation to
-    /// the `top_k` heaviest entries (`0` = off).
-    pub fn compute_weighted_topk(t: &CsrMatrix, weights: &[f32], eps: f32, top_k: usize) -> Self {
-        Self::compute_weighted_topk_ctl(t, weights, eps, top_k, 0, &|| false)
-            .expect("influence rows with a never-stopping probe cannot be cancelled")
-    }
-
-    /// [`InfluenceRows::compute_weighted_par`] with a cooperative stop
-    /// probe (see [`InfluenceRows::compute_weighted_topk_ctl`]).
-    pub fn compute_weighted_ctl(
-        t: &CsrMatrix,
-        weights: &[f32],
-        eps: f32,
-        threads: usize,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) -> Option<Self> {
-        Self::compute_weighted_topk_ctl(t, weights, eps, 0, threads, should_stop)
-    }
-
-    /// The fully general builder: weighted walk powers, ε-pruning, optional
-    /// `top_k` row truncation, explicit worker count, and a cooperative
-    /// stop probe polled by every worker once per **block of rows** (each
-    /// row is a full scatter-gather walk — the natural unit of work).
-    /// Returns `None` as soon as any worker observes the probe; the
-    /// partially filled chunks are discarded, never stitched, so a
-    /// cancelled build cannot tear the artifact. A probe that always
-    /// returns `false` is bit-identical to the uncancellable builders.
+    /// entries `< eps` between steps. A kernel's exact Jacobian
+    /// (Definition 3.1) is `weights = kernel_power_weights(kernel)`.
     ///
     /// When `top_k > 0`, each row keeps only its `top_k` heaviest entries
-    /// (ties toward the smaller column id) **before** Eq. 8 normalization.
+    /// (ties toward the smaller column id) **before** Eq. 8 normalization;
+    /// `0` is off.
+    ///
+    /// Runs over `threads` workers (`0` = auto). Every row `v` is
+    /// scatter-gathered start to finish by exactly one worker with
+    /// thread-local scratch, and each worker's flat chunk is stitched into
+    /// the CSR in rank (= row) order, so the rows are bit-identical at any
+    /// thread count.
+    ///
+    /// `stop` is a cooperative probe polled by every worker once per
+    /// **block of rows** (each row is a full scatter-gather walk — the
+    /// natural unit of work). Returns `None` as soon as any worker observes
+    /// it; the partially filled chunks are discarded, never stitched, so a
+    /// cancelled build cannot tear the artifact. A probe that always
+    /// returns `false` never changes the rows.
     ///
     /// # Panics
     /// Panics if `t` is not square or `weights` is empty.
-    pub fn compute_weighted_topk_ctl(
+    pub fn compute_weighted(
         t: &CsrMatrix,
         weights: &[f32],
         eps: f32,
         top_k: usize,
         threads: usize,
-        should_stop: &(dyn Fn() -> bool + Sync),
+        stop: &(dyn Fn() -> bool + Sync),
     ) -> Option<Self> {
         use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -368,7 +285,7 @@ impl InfluenceRows {
                     let mut row: Vec<(u32, f32)> = Vec::new();
                     for v in start..end {
                         if (v - start) % ROW_BLOCK == 0
-                            && (stopped.load(Ordering::Relaxed) || should_stop())
+                            && (stopped.load(Ordering::Relaxed) || stop())
                         {
                             stopped.store(true, Ordering::Relaxed);
                             return;
@@ -519,15 +436,6 @@ impl InfluenceRows {
             + self.vals.len() * std::mem::size_of::<f32>()
     }
 
-    /// Heap bytes the same rows would occupy in the retired
-    /// `Vec<Vec<(u32, f32)>>` layout: one 24-byte `Vec` header per node
-    /// plus 8 bytes per entry — the cost model the CSR layout is measured
-    /// against (strictly larger for every non-empty graph).
-    pub fn nested_layout_bytes(&self) -> usize {
-        self.num_nodes() * std::mem::size_of::<Vec<(u32, f32)>>()
-            + self.nnz() * std::mem::size_of::<(u32, f32)>()
-    }
-
     /// Column-sum of influence mass received *from* each node `u`
     /// (Σ_v I_v(u, k)) — the "walk mass" used by Sec-3.4 candidate pruning.
     pub fn walk_mass(&self) -> Vec<f32> {
@@ -545,8 +453,8 @@ impl InfluenceRows {
     /// The dirty rows run through the same `walk_row` routine the cold
     /// builders use — same scatter/gather order, same ε-pruning, same
     /// `top_k` truncation and L1 normalization — so a row rebuilt here is
-    /// byte-identical to the row a cold
-    /// [`InfluenceRows::for_kernel_topk_ctl`] over `t` would produce.
+    /// byte-identical to the row a cold [`InfluenceRows::compute_weighted`]
+    /// over `t` with `kernel_power_weights(kernel)` would produce.
     /// Clean rows are `memcpy`d from `self`, which is valid whenever
     /// `dirty` is a superset of the rows whose ε-pruned walk neighborhoods
     /// changed.
@@ -637,6 +545,28 @@ mod tests {
 
     fn rw(g: &Graph) -> CsrMatrix {
         transition_matrix(g, TransitionKind::RandomWalk, true)
+    }
+
+    /// Uncancelled build of `weights` rows.
+    fn weighted(
+        t: &CsrMatrix,
+        weights: &[f32],
+        eps: f32,
+        top_k: usize,
+        threads: usize,
+    ) -> InfluenceRows {
+        InfluenceRows::compute_weighted(t, weights, eps, top_k, threads, &|| false).unwrap()
+    }
+
+    /// Uncancelled build of `kernel`'s Jacobian rows.
+    fn for_kernel(
+        t: &CsrMatrix,
+        kernel: Kernel,
+        eps: f32,
+        top_k: usize,
+        threads: usize,
+    ) -> InfluenceRows {
+        weighted(t, &kernel_power_weights(kernel), eps, top_k, threads)
     }
 
     /// The retired nested builder, kept as the serial reference the flat
@@ -818,8 +748,8 @@ mod tests {
         // PPR's α-weighted identity keeps mass on the source even at k=2.
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         let t = rw(&g);
-        let ppr = InfluenceRows::for_kernel(&t, grain_prop::Kernel::Ppr { k: 2, alpha: 0.5 }, 0.0);
-        let plain = InfluenceRows::for_kernel(&t, grain_prop::Kernel::RandomWalk { k: 2 }, 0.0);
+        let ppr = for_kernel(&t, grain_prop::Kernel::Ppr { k: 2, alpha: 0.5 }, 0.0, 0, 0);
+        let plain = for_kernel(&t, grain_prop::Kernel::RandomWalk { k: 2 }, 0.0, 0, 0);
         assert!(ppr.influence(0, 0) > plain.influence(0, 0));
         // Both stay normalized distributions.
         let sum: f32 = ppr.row_values(0).iter().sum();
@@ -831,7 +761,7 @@ mod tests {
         let g = generators::erdos_renyi_gnm(30, 70, 12);
         let t = rw(&g);
         let a = InfluenceRows::compute(&t, 2, 0.0);
-        let b = InfluenceRows::for_kernel(&t, grain_prop::Kernel::RandomWalk { k: 2 }, 0.0);
+        let b = for_kernel(&t, grain_prop::Kernel::RandomWalk { k: 2 }, 0.0, 0, 0);
         for v in 0..30 {
             assert_eq!(a.row(v), b.row(v));
         }
@@ -853,13 +783,14 @@ mod tests {
         let g = generators::barabasi_albert(200, 3, 11);
         let t = rw(&g);
         let kernel = Kernel::Ppr { k: 2, alpha: 0.15 };
-        let plain = InfluenceRows::for_kernel_par(&t, kernel, 1e-4, 2);
-        let ctl = InfluenceRows::for_kernel_ctl(&t, kernel, 1e-4, 2, &|| false).unwrap();
+        let weights = kernel_power_weights(kernel);
+        let plain = for_kernel(&t, kernel, 1e-4, 0, 2);
+        let ctl = InfluenceRows::compute_weighted(&t, &weights, 1e-4, 0, 2, &|| false).unwrap();
         for v in 0..200 {
             assert_eq!(plain.row(v), ctl.row(v), "row {v}");
         }
         assert!(
-            InfluenceRows::for_kernel_ctl(&t, kernel, 1e-4, 2, &|| true).is_none(),
+            InfluenceRows::compute_weighted(&t, &weights, 1e-4, 0, 2, &|| true).is_none(),
             "a tripped probe yields no (partial) artifact"
         );
     }
@@ -868,10 +799,9 @@ mod tests {
     fn explicit_thread_counts_are_bit_identical() {
         let g = generators::barabasi_albert(250, 3, 17);
         let t = rw(&g);
-        let serial = InfluenceRows::for_kernel_par(&t, Kernel::Ppr { k: 2, alpha: 0.15 }, 1e-4, 1);
+        let serial = for_kernel(&t, Kernel::Ppr { k: 2, alpha: 0.15 }, 1e-4, 0, 1);
         for threads in [2usize, 8] {
-            let par =
-                InfluenceRows::for_kernel_par(&t, Kernel::Ppr { k: 2, alpha: 0.15 }, 1e-4, threads);
+            let par = for_kernel(&t, Kernel::Ppr { k: 2, alpha: 0.15 }, 1e-4, 0, threads);
             for v in 0..250 {
                 assert_eq!(par.row(v), serial.row(v), "row {v} at {threads} threads");
             }
@@ -886,15 +816,7 @@ mod tests {
             let weights = kernel_power_weights(Kernel::Ppr { k: 2, alpha: 0.15 });
             let nested = reference_nested(&t, &weights, eps, 0);
             for threads in [1usize, 2, 8] {
-                let csr = InfluenceRows::compute_weighted_topk_ctl(
-                    &t,
-                    &weights,
-                    eps,
-                    0,
-                    threads,
-                    &|| false,
-                )
-                .unwrap();
+                let csr = weighted(&t, &weights, eps, 0, threads);
                 assert_matches_nested(&csr, &nested);
             }
         }
@@ -906,7 +828,7 @@ mod tests {
         // spreads equal mass over the leaves — a pure tie, so truncation
         // must keep the smallest column ids.
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let rows = InfluenceRows::compute_weighted_topk(&rw(&g), &[0.0, 1.0], 0.0, 3);
+        let rows = weighted(&rw(&g), &[0.0, 1.0], 0.0, 3, 0);
         assert_eq!(rows.row_indices(0), &[0, 1, 2]);
         let sum: f32 = rows.row_values(0).iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "truncated row renormalizes");
@@ -920,15 +842,7 @@ mod tests {
         for top_k in [1usize, 4, 16] {
             let nested = reference_nested(&t, &weights, 0.0, top_k);
             for threads in [1usize, 3, 8] {
-                let csr = InfluenceRows::compute_weighted_topk_ctl(
-                    &t,
-                    &weights,
-                    0.0,
-                    top_k,
-                    threads,
-                    &|| false,
-                )
-                .unwrap();
+                let csr = weighted(&t, &weights, 0.0, top_k, threads);
                 assert_matches_nested(&csr, &nested);
                 for v in 0..200 {
                     assert!(csr.row_nnz(v) <= top_k, "row {v} exceeds top_k={top_k}");
@@ -942,8 +856,8 @@ mod tests {
         let g = generators::barabasi_albert(150, 3, 13);
         let t = rw(&g);
         let plain = InfluenceRows::compute(&t, 2, 1e-4);
-        let zero = InfluenceRows::compute_weighted_topk(&t, &[0.0, 0.0, 1.0], 1e-4, 0);
-        let huge = InfluenceRows::compute_weighted_topk(&t, &[0.0, 0.0, 1.0], 1e-4, 10_000);
+        let zero = weighted(&t, &[0.0, 0.0, 1.0], 1e-4, 0, 0);
+        let huge = weighted(&t, &[0.0, 0.0, 1.0], 1e-4, 10_000, 0);
         for v in 0..150 {
             assert_eq!(plain.row(v), zero.row(v), "row {v} (top_k = 0)");
             assert_eq!(plain.row(v), huge.row(v), "row {v} (oversized top_k)");
@@ -955,7 +869,7 @@ mod tests {
         let g = generators::barabasi_albert(400, 5, 3);
         let t = rw(&g);
         let full = InfluenceRows::compute(&t, 2, 0.0);
-        let cut = InfluenceRows::compute_weighted_topk(&t, &[0.0, 0.0, 1.0], 0.0, 8);
+        let cut = weighted(&t, &[0.0, 0.0, 1.0], 0.0, 8, 0);
         assert!(cut.nnz() <= 8 * 400);
         assert!(cut.nnz() < full.nnz());
         assert!(cut.resident_bytes() < full.resident_bytes());
@@ -963,17 +877,14 @@ mod tests {
 
     #[test]
     fn csr_resident_bytes_strictly_below_nested_layout() {
+        // Exact CSR bytes, `8·(n+1) + 8·nnz` on 64-bit targets: below the
+        // retired nested layout's `24·n + 8·nnz` at every n ≥ 1.
         let g = generators::erdos_renyi_gnm(100, 300, 21);
         let rows = InfluenceRows::compute(&rw(&g), 2, 1e-4);
         assert_eq!(
             rows.resident_bytes(),
-            8 * (rows.num_nodes() + 1) + 8 * rows.nnz()
+            (rows.num_nodes() + 1) * std::mem::size_of::<usize>() + 8 * rows.nnz()
         );
-        assert_eq!(
-            rows.nested_layout_bytes(),
-            24 * rows.num_nodes() + 8 * rows.nnz()
-        );
-        assert!(rows.resident_bytes() < rows.nested_layout_bytes());
     }
 
     /// Splice-rebuilding the dirty rows after an edge edit must reproduce
@@ -1003,16 +914,8 @@ mod tests {
                 let t_new = transition_matrix(&g2, kind, true);
                 let dirty = grain_graph::k_hop_ball(&g2, &endpoints, depth + 1);
                 for top_k in [0usize, 4] {
-                    let old =
-                        InfluenceRows::for_kernel_topk_ctl(&t_old, kernel, 1e-4, top_k, 1, &|| {
-                            false
-                        })
-                        .expect("cold old build");
-                    let cold =
-                        InfluenceRows::for_kernel_topk_ctl(&t_new, kernel, 1e-4, top_k, 1, &|| {
-                            false
-                        })
-                        .expect("cold new build");
+                    let old = for_kernel(&t_old, kernel, 1e-4, top_k, 1);
+                    let cold = for_kernel(&t_new, kernel, 1e-4, top_k, 1);
                     let patched = old.with_rebuilt_rows(&t_new, kernel, 1e-4, top_k, &dirty);
                     assert_eq!(patched.offsets, cold.offsets, "{kernel:?}/{kind:?}/{top_k}");
                     assert_eq!(patched.cols, cold.cols, "{kernel:?}/{kind:?}/{top_k}");

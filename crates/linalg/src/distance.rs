@@ -52,35 +52,25 @@ pub fn grain_distance(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Returns a copy of `m` with L2-normalized rows, the input representation
-/// for all diversity computations.
-pub fn normalized_embedding(m: &DenseMatrix) -> DenseMatrix {
-    normalized_embedding_par(m, 1)
-}
-
-/// [`normalized_embedding`] over `threads` workers (`0` = auto); rows
-/// normalize independently, so results are bit-identical at any thread
-/// count.
-pub fn normalized_embedding_par(m: &DenseMatrix, threads: usize) -> DenseMatrix {
+/// for all diversity computations, over `threads` workers (`0` = auto).
+/// Rows normalize independently, so results are bit-identical at any
+/// thread count.
+pub fn normalized_embedding(m: &DenseMatrix, threads: usize) -> DenseMatrix {
     let mut out = m.clone();
-    ops::l2_normalize_rows_par(&mut out, threads);
+    ops::l2_normalize_rows(&mut out, threads);
     out
 }
 
 /// All-pairs radius query on L2-normalized rows under [`grain_distance`].
 ///
 /// Returns, for every row `u`, the sorted list of rows `v` (including `u`
-/// itself) with `grain_distance(u, v) <= r`. Computed in parallel with a
-/// squared-threshold comparison so no square roots are taken in the inner
-/// loop.
-pub fn radius_neighbors(normed: &DenseMatrix, r: f32) -> Vec<Vec<u32>> {
-    radius_neighbors_par(normed, r, 0)
-}
-
-/// [`radius_neighbors`] over `threads` workers (`0` = auto). Each row's
-/// neighbor list is owned by exactly one worker and the cache-blocked scan
-/// (see `TILE_ROWS`) visits v-tiles in ascending order, so the result is
-/// bit-identical to a naive row-major scan at any thread count.
-pub fn radius_neighbors_par(normed: &DenseMatrix, r: f32, threads: usize) -> Vec<Vec<u32>> {
+/// itself) with `grain_distance(u, v) <= r`. Computed over `threads`
+/// workers (`0` = auto) with a squared-threshold comparison so no square
+/// roots are taken in the inner loop. Each row's neighbor list is owned by
+/// exactly one worker and the cache-blocked scan (see `TILE_ROWS`) visits
+/// v-tiles in ascending order, so the result is bit-identical to a naive
+/// row-major scan at any thread count.
+pub fn radius_neighbors(normed: &DenseMatrix, r: f32, threads: usize) -> Vec<Vec<u32>> {
     let n = normed.rows();
     // grain_distance <= r  <=>  sq_euclidean <= (2r)^2
     let thresh = (2.0 * r) * (2.0 * r);
@@ -135,18 +125,13 @@ pub fn min_distance_to_set(points: &DenseMatrix, centers: &DenseMatrix) -> Vec<f
 /// estimated from a deterministic sample of anchor rows for large inputs,
 /// which is an upper-bound-preserving choice because `d_max <= 1` under the
 /// normalized metric anyway.
-pub fn max_pairwise_distance(normed: &DenseMatrix, exact_limit: usize) -> f32 {
-    max_pairwise_distance_par(normed, exact_limit, 0)
-}
-
-/// [`max_pairwise_distance`] over `threads` workers (`0` = auto).
 ///
-/// Each source row's maximum is owned by one worker and scanned with the
+/// Runs over `threads` workers (`0` = auto). Each source row's maximum is owned by one worker and scanned with the
 /// cache-blocked tile loop (see `TILE_ROWS`); `f32::max` over exact
 /// squared distances is an order-independent reduction (no rounding is
 /// introduced by reassociation), so the result is bit-identical at any
 /// thread count and to the untiled scan.
-pub fn max_pairwise_distance_par(normed: &DenseMatrix, exact_limit: usize, threads: usize) -> f32 {
+pub fn max_pairwise_distance(normed: &DenseMatrix, exact_limit: usize, threads: usize) -> f32 {
     let n = normed.rows();
     if n <= 1 {
         return 0.0;
@@ -258,8 +243,8 @@ mod tests {
     #[test]
     fn radius_neighbors_includes_self_and_symmetric() {
         let mut m = DenseMatrix::from_vec(3, 2, vec![1., 0., 0.99, 0.14, -1., 0.]);
-        ops::l2_normalize_rows(&mut m);
-        let nb = radius_neighbors(&m, 0.1);
+        ops::l2_normalize_rows(&mut m, 1);
+        let nb = radius_neighbors(&m, 0.1, 0);
         assert!(nb[0].contains(&0));
         // 0 and 1 are close, 2 is far.
         assert_eq!(nb[0].contains(&1), nb[1].contains(&0));
@@ -269,8 +254,8 @@ mod tests {
     #[test]
     fn radius_zero_covers_only_identical_rows() {
         let mut m = DenseMatrix::from_vec(3, 2, vec![1., 0., 1., 0., 0., 1.]);
-        ops::l2_normalize_rows(&mut m);
-        let nb = radius_neighbors(&m, 0.0);
+        ops::l2_normalize_rows(&mut m, 1);
+        let nb = radius_neighbors(&m, 0.0, 0);
         assert_eq!(nb[0], vec![0, 1]); // duplicate rows coincide
         assert_eq!(nb[2], vec![2]);
     }
@@ -286,8 +271,8 @@ mod tests {
     #[test]
     fn max_pairwise_distance_exact_small() {
         let mut m = DenseMatrix::from_vec(3, 2, vec![1., 0., 0., 1., -1., 0.]);
-        ops::l2_normalize_rows(&mut m);
-        let d = max_pairwise_distance(&m, 100);
+        ops::l2_normalize_rows(&mut m, 1);
+        let d = max_pairwise_distance(&m, 100, 0);
         assert!((d - 1.0).abs() < 1e-6);
     }
 
@@ -296,9 +281,9 @@ mod tests {
         let n = 500;
         let data: Vec<f32> = (0..n * 2).map(|i| ((i * 31 % 17) as f32) - 8.0).collect();
         let mut m = DenseMatrix::from_vec(n, 2, data);
-        ops::l2_normalize_rows(&mut m);
-        let exact = max_pairwise_distance(&m, usize::MAX);
-        let sampled = max_pairwise_distance(&m, 64);
+        ops::l2_normalize_rows(&mut m, 1);
+        let exact = max_pairwise_distance(&m, usize::MAX, 0);
+        let sampled = max_pairwise_distance(&m, 64, 0);
         assert!(sampled <= exact + 1e-6);
         assert!(sampled > 0.0);
     }
@@ -308,24 +293,20 @@ mod tests {
         let n = 300;
         let data: Vec<f32> = (0..n * 3).map(|i| ((i * 29 % 19) as f32) - 9.0).collect();
         let m = DenseMatrix::from_vec(n, 3, data);
-        let normed = normalized_embedding(&m);
-        let balls = radius_neighbors(&normed, 0.2);
-        let dmax_exact = max_pairwise_distance(&normed, usize::MAX);
-        let dmax_sampled = max_pairwise_distance(&normed, 64);
+        let normed = normalized_embedding(&m, 1);
+        let balls = radius_neighbors(&normed, 0.2, 0);
+        let dmax_exact = max_pairwise_distance(&normed, usize::MAX, 0);
+        let dmax_sampled = max_pairwise_distance(&normed, 64, 0);
         for threads in [1usize, 2, 8] {
-            assert_eq!(normalized_embedding_par(&m, threads), normed, "{threads}");
+            assert_eq!(normalized_embedding(&m, threads), normed, "{threads}");
+            assert_eq!(radius_neighbors(&normed, 0.2, threads), balls, "{threads}");
             assert_eq!(
-                radius_neighbors_par(&normed, 0.2, threads),
-                balls,
-                "{threads}"
-            );
-            assert_eq!(
-                max_pairwise_distance_par(&normed, usize::MAX, threads).to_bits(),
+                max_pairwise_distance(&normed, usize::MAX, threads).to_bits(),
                 dmax_exact.to_bits(),
                 "{threads}"
             );
             assert_eq!(
-                max_pairwise_distance_par(&normed, 64, threads).to_bits(),
+                max_pairwise_distance(&normed, 64, threads).to_bits(),
                 dmax_sampled.to_bits(),
                 "{threads}"
             );
@@ -339,7 +320,7 @@ mod tests {
         let n = 257; // deliberately not a multiple of the tile size
         let data: Vec<f32> = (0..n * 5).map(|i| ((i * 37 % 23) as f32) - 11.0).collect();
         let m = DenseMatrix::from_vec(n, 5, data);
-        let normed = normalized_embedding(&m);
+        let normed = normalized_embedding(&m, 1);
 
         let r = 0.15f32;
         let thresh = (2.0 * r) * (2.0 * r);
@@ -351,7 +332,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert_eq!(radius_neighbors(&normed, r), naive_balls);
+        assert_eq!(radius_neighbors(&normed, r, 0), naive_balls);
 
         let mut naive_best = 0.0f32;
         for u in 0..n {
@@ -361,7 +342,7 @@ mod tests {
         }
         let naive_dmax = naive_best.sqrt() * 0.5;
         assert_eq!(
-            max_pairwise_distance(&normed, usize::MAX).to_bits(),
+            max_pairwise_distance(&normed, usize::MAX, 0).to_bits(),
             naive_dmax.to_bits()
         );
     }

@@ -28,7 +28,7 @@
 //! // Row-normalization, the step Definition 3.4/3.6 apply before any
 //! // distance is measured in the diversity feature space.
 //! let mut rows = DenseMatrix::from_rows(&[&[3.0, 4.0], &[0.0, 2.0]]);
-//! ops::l2_normalize_rows(&mut rows);
+//! ops::l2_normalize_rows(&mut rows, 1);
 //! assert_eq!(rows.row(0), &[0.6, 0.8]);
 //! assert_eq!(ops::row_norms(&rows), vec![1.0, 1.0]);
 //! ```

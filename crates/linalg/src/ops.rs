@@ -172,11 +172,6 @@ pub fn hadamard(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     DenseMatrix::from_vec(a.rows(), a.cols(), data)
 }
 
-/// L2-normalizes every row in place; zero rows are left untouched.
-pub fn l2_normalize_rows(m: &mut DenseMatrix) {
-    l2_normalize_rows_par(m, 1);
-}
-
 /// L2-normalizes one row slice in place — the exact per-row operation of
 /// [`l2_normalize_rows`] (same [`dot`], same division order), exposed so
 /// incremental maintenance can re-normalize only dirty rows and stay
@@ -190,10 +185,10 @@ pub fn l2_normalize_row(row: &mut [f32]) {
     }
 }
 
-/// [`l2_normalize_rows`] over `threads` workers (`0` = auto); rows are
-/// normalized independently, so the result is bit-identical at any
-/// thread count.
-pub fn l2_normalize_rows_par(m: &mut DenseMatrix, threads: usize) {
+/// L2-normalizes every row in place over `threads` workers (`0` = auto);
+/// zero rows are left untouched. Rows are normalized independently, so the
+/// result is bit-identical at any thread count.
+pub fn l2_normalize_rows(m: &mut DenseMatrix, threads: usize) {
     let cols = m.cols();
     if cols == 0 {
         return;
@@ -303,7 +298,7 @@ mod tests {
     #[test]
     fn l2_normalize_rows_makes_unit_rows() {
         let mut m = DenseMatrix::from_vec(2, 2, vec![3., 4., 0., 0.]);
-        l2_normalize_rows(&mut m);
+        l2_normalize_rows(&mut m, 1);
         assert!((dot(m.row(0), m.row(0)) - 1.0).abs() < 1e-6);
         assert_eq!(m.row(1), &[0., 0.]); // zero row untouched
     }
@@ -312,10 +307,10 @@ mod tests {
     fn l2_normalize_rows_is_thread_count_invariant() {
         let data: Vec<f32> = (0..600).map(|i| ((i * 37 % 23) as f32) - 11.0).collect();
         let mut serial = DenseMatrix::from_vec(200, 3, data.clone());
-        l2_normalize_rows(&mut serial);
+        l2_normalize_rows(&mut serial, 1);
         for threads in [2usize, 7] {
             let mut par = DenseMatrix::from_vec(200, 3, data.clone());
-            l2_normalize_rows_par(&mut par, threads);
+            l2_normalize_rows(&mut par, threads);
             assert_eq!(par, serial, "{threads} threads");
         }
     }

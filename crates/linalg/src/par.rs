@@ -27,9 +27,9 @@ pub fn num_threads() -> usize {
 /// Resolves a caller-requested worker count: `0` means "auto" (the
 /// [`num_threads`] default), any other value is taken verbatim. This is
 /// the contract of every `*_with` helper below and of the `threads`
-/// parameter on the parallel kernels built on them (`spmm_par`,
-/// `propagate_par`, influence rows, ...): callers thread a configuration
-/// knob straight through and `0` keeps the environment-driven default.
+/// parameter on the parallel kernels built on them (SpMM, propagation,
+/// influence rows, ...): callers thread a configuration knob straight
+/// through and `0` keeps the environment-driven default.
 #[must_use]
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {

@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn l2_normalized_rows_are_unit_or_zero(a in matrix(6, 4)) {
         let mut m = a;
-        ops::l2_normalize_rows(&mut m);
+        ops::l2_normalize_rows(&mut m, 1);
         for i in 0..m.rows() {
             let n = ops::dot(m.row(i), m.row(i)).sqrt();
             prop_assert!(n < 1e-6 || (n - 1.0).abs() < 1e-4, "row norm {}", n);

@@ -10,7 +10,7 @@
 //! without borrowing and hand out shared `X^(k)` views without copying.
 
 use crate::kernel::Kernel;
-use crate::propagate::propagate_ladder_with_ctl;
+use crate::propagate::propagate_with;
 use grain_graph::{transition_matrix, CsrMatrix, Graph};
 use grain_linalg::DenseMatrix;
 use std::collections::HashMap;
@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// One kernel's cached propagation: the final `X^(k)` plus the power
 /// ladder (intermediate step states, see
-/// [`crate::propagate::propagate_ladder_with_ctl`]) that keeps delta
+/// [`crate::propagate::propagate_with`]) that keeps delta
 /// repair output-proportional. Seeded entries carry an empty ladder and
 /// fall back to reverse-cone repair.
 struct CachedKernel {
@@ -63,65 +63,48 @@ impl PropagationCache {
     pub fn get(&mut self, kernel: Kernel) -> Arc<DenseMatrix> {
         if !self.cache.contains_key(&kernel.cache_key()) {
             let t = transition_matrix(&self.graph, kernel.transition_kind(), true);
-            return self.get_with(kernel, &t);
+            return self
+                .get_with(kernel, &t, 0, &|| false)
+                .expect("propagation with a never-stopping probe cannot be cancelled");
         }
         Arc::clone(&self.cache[&kernel.cache_key()].value)
     }
 
     /// Like [`PropagationCache::get`], but propagates over a prebuilt
-    /// transition matrix on a miss — callers that already hold `T` (the
-    /// selection engine caches it for the influence rows) avoid rebuilding
-    /// it here.
+    /// transition matrix on a miss, over `threads` workers (`0` = auto) —
+    /// callers that already hold `T` (the selection engine caches it for
+    /// the influence rows) avoid rebuilding it here. Because propagation
+    /// is bit-identical at any thread count (see
+    /// [`crate::propagate_with`]), the cached artifact does not depend on
+    /// the thread count it was built with — which is why a serving
+    /// parallelism knob can be excluded from engine cache keys.
+    ///
+    /// `stop` is the cooperative probe of [`crate::propagate_with`]: a
+    /// cache miss whose build observes it returns `None` and caches
+    /// **nothing** — the next request for this kernel starts a fresh,
+    /// complete build, so cancellation can never tear an artifact. Cache
+    /// hits ignore the probe entirely (the work is already done; handing
+    /// it out is free).
     ///
     /// # Panics
     /// Panics if `transition` does not match the cached graph's node count.
-    pub fn get_with(&mut self, kernel: Kernel, transition: &CsrMatrix) -> Arc<DenseMatrix> {
-        self.get_with_par(kernel, transition, 0)
-    }
-
-    /// [`PropagationCache::get_with`] propagating over `threads` workers
-    /// on a miss (`0` = auto). Because propagation is bit-identical at
-    /// any thread count (see [`crate::propagate_with_par`]), the cached artifact
-    /// does not depend on the thread count it was built with — which is
-    /// why a serving parallelism knob can be excluded from engine cache
-    /// keys.
-    ///
-    /// # Panics
-    /// Panics if `transition` does not match the cached graph's node count.
-    pub fn get_with_par(
+    pub fn get_with(
         &mut self,
         kernel: Kernel,
         transition: &CsrMatrix,
         threads: usize,
-    ) -> Arc<DenseMatrix> {
-        self.get_with_ctl(kernel, transition, threads, &|| false)
-            .expect("propagation with a never-stopping probe cannot be cancelled")
-    }
-
-    /// [`PropagationCache::get_with_par`] with a cooperative stop probe
-    /// (see [`crate::propagate::propagate_with_ctl`]): a cache miss whose build observes
-    /// the probe returns `None` and caches **nothing** — the next request
-    /// for this kernel starts a fresh, complete build, so cancellation
-    /// can never tear an artifact. Cache hits ignore the probe entirely
-    /// (the work is already done; handing it out is free).
-    ///
-    /// # Panics
-    /// Panics if `transition` does not match the cached graph's node count.
-    pub fn get_with_ctl(
-        &mut self,
-        kernel: Kernel,
-        transition: &CsrMatrix,
-        threads: usize,
-        should_stop: &dyn Fn() -> bool,
+        stop: &(dyn Fn() -> bool + Sync),
     ) -> Option<Arc<DenseMatrix>> {
         let key = kernel.cache_key();
         if !self.cache.contains_key(&key) {
-            let (value, ladder) = propagate_ladder_with_ctl(
+            let mut ladder = Vec::with_capacity(kernel.steps().saturating_sub(1));
+            let value = propagate_with(
                 transition,
                 kernel,
                 &self.features,
                 threads,
-                should_stop,
+                stop,
+                Some(&mut ladder),
             )?;
             self.cache.insert(
                 key.clone(),
@@ -390,18 +373,21 @@ mod tests {
         // A donor cache that built cold carries the ladder; the patching
         // cache adopts and repairs it.
         let mut donor = PropagationCache::new(g.clone(), x.clone());
-        let _ = donor.get_with(kernel, &t_old);
+        let _ = donor.get_with(kernel, &t_old, 0, &|| false);
         let old_ladder = donor.cached_ladder(kernel);
         assert_eq!(old_ladder.len(), 1, "k=2 ladder is one level");
         let mut cache = PropagationCache::new(edited.clone(), x.clone());
         let patched = cache.repropagate_rows(kernel, &t_new, &old, &old_ladder, &dirty);
         assert_eq!(&*patched, &propagate(&edited, kernel, &x));
         // The patch is cached: the next get hands out the same allocation.
-        assert!(Arc::ptr_eq(&patched, &cache.get_with(kernel, &t_new)));
+        assert!(Arc::ptr_eq(
+            &patched,
+            &cache.get_with(kernel, &t_new, 0, &|| false).unwrap()
+        ));
         // The patched ladder matches a cold build's over the edited graph,
         // so the next delta can repair level-locally too.
         let mut cold = PropagationCache::new(edited.clone(), x.clone());
-        let _ = cold.get_with(kernel, &t_new);
+        let _ = cold.get_with(kernel, &t_new, 0, &|| false);
         assert_eq!(
             cache.cached_ladder(kernel)[0],
             cold.cached_ladder(kernel)[0],
@@ -423,12 +409,12 @@ mod tests {
         let x = DenseMatrix::full(20, 4, 1.0);
         let kernel = Kernel::RandomWalk { k: 2 };
         let mut cache = PropagationCache::new(g, x);
-        assert!(cache.get_with_ctl(kernel, &t, 0, &|| true).is_none());
+        assert!(cache.get_with(kernel, &t, 0, &|| true).is_none());
         assert!(!cache.contains(kernel), "cancelled build left no artifact");
         // A fresh uncancelled build produces the full, correct artifact.
-        let full = cache.get_with_ctl(kernel, &t, 0, &|| false).unwrap();
+        let full = cache.get_with(kernel, &t, 0, &|| false).unwrap();
         assert_eq!(&*full, &*cache.get(kernel));
         // Hits ignore the probe: the work already happened.
-        assert!(cache.get_with_ctl(kernel, &t, 0, &|| true).is_some());
+        assert!(cache.get_with(kernel, &t, 0, &|| true).is_some());
     }
 }

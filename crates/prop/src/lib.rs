@@ -37,4 +37,4 @@ pub mod kernel;
 pub mod propagate;
 
 pub use kernel::Kernel;
-pub use propagate::{propagate, propagate_with, propagate_with_par, repropagate_rows};
+pub use propagate::{propagate, propagate_with, repropagate_rows};

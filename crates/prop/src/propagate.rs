@@ -8,92 +8,41 @@ use grain_linalg::{ops, DenseMatrix};
 /// transition matrix internally (with self-loops, the GNN convention).
 pub fn propagate(g: &Graph, kernel: Kernel, x: &DenseMatrix) -> DenseMatrix {
     let t = transition_matrix(g, kernel.transition_kind(), true);
-    propagate_with(&t, kernel, x)
-}
-
-/// Propagates `x` through `kernel` using a prebuilt transition matrix.
-///
-/// Useful when several kernels share a transition matrix or when the caller
-/// wants a non-default normalization.
-///
-/// # Panics
-/// Panics if `t` is not square of size `x.rows()`.
-pub fn propagate_with(t: &CsrMatrix, kernel: Kernel, x: &DenseMatrix) -> DenseMatrix {
-    propagate_with_par(t, kernel, x, 0)
-}
-
-/// [`propagate_with`] running every SpMM round over `threads` workers
-/// (`0` = auto). The per-round combination steps (`scale`/`axpy`) are
-/// sequential and each SpMM output row is accumulated by exactly one
-/// worker, so `X^(k)` is bit-identical at any thread count.
-///
-/// # Panics
-/// Panics if `t` is not square of size `x.rows()`.
-pub fn propagate_with_par(
-    t: &CsrMatrix,
-    kernel: Kernel,
-    x: &DenseMatrix,
-    threads: usize,
-) -> DenseMatrix {
-    propagate_with_ctl(t, kernel, x, threads, &|| false)
+    propagate_with(&t, kernel, x, 0, &|| false, None)
         .expect("propagation with a never-stopping probe cannot be cancelled")
 }
 
-/// [`propagate_with_par`] with a cooperative stop probe, polled **between
-/// SpMM power steps** (the expensive unit of work). Returns `None` as
-/// soon as the probe reports `true` — no partially combined `X^(k)` is
-/// ever returned, so a cancelled propagation leaves nothing to cache.
+/// Propagates `x` through `kernel` using a prebuilt transition matrix,
+/// running every SpMM round over `threads` workers (`0` = auto).
 ///
-/// A probe that always returns `false` is bit-identical to
-/// [`propagate_with_par`].
+/// Useful when several kernels share a transition matrix or when the caller
+/// wants a non-default normalization. The per-round combination steps
+/// (`scale`/`axpy`) are sequential and each SpMM output row is accumulated
+/// by exactly one worker, so `X^(k)` is bit-identical at any thread count.
 ///
-/// # Panics
-/// Panics if `t` is not square of size `x.rows()`.
-pub fn propagate_with_ctl(
-    t: &CsrMatrix,
-    kernel: Kernel,
-    x: &DenseMatrix,
-    threads: usize,
-    should_stop: &dyn Fn() -> bool,
-) -> Option<DenseMatrix> {
-    propagate_ctl_impl(t, kernel, x, threads, should_stop, None)
-}
-
-/// [`propagate_with_ctl`] that additionally returns the **power ladder**:
-/// the intermediate per-step state matrices (the SpMM *input* of steps
-/// `2..=k`, i.e. the state after steps `1..=k-1`). For the iterative
-/// kernels that state is `X^(l)` itself; for S2GC/GBP it is the power
-/// `T^l X` feeding the accumulator.
+/// `stop` is a cooperative probe polled **between SpMM power steps** (the
+/// expensive unit of work). Returns `None` as soon as it reports `true` —
+/// no partially combined `X^(k)` is ever returned, so a cancelled
+/// propagation leaves nothing to cache.
 ///
-/// The ladder is what makes [`repropagate_rows_laddered`]
-/// output-proportional: with per-level clean values on hand, a delta only
-/// recomputes its dirty rows at each level instead of expanding a reverse
-/// neighbor cone. The extra cost over [`propagate_with_ctl`] is `k-1`
-/// dense clones (each `n·d` floats) — noise next to the SpMM rounds.
+/// `ladder`, when present, receives the **power ladder**: the
+/// intermediate per-step state matrices (the SpMM *input* of steps
+/// `2..=k`, i.e. a clone of the state after steps `1..=k-1`). For the
+/// iterative kernels that state is `X^(l)` itself; for S2GC/GBP it is the
+/// power `T^l X` feeding the accumulator. The ladder is what makes
+/// [`repropagate_rows_laddered`] output-proportional: with per-level clean
+/// values on hand, a delta only recomputes its dirty rows at each level
+/// instead of expanding a reverse neighbor cone. Capture costs `k-1` dense
+/// clones and never alters the arithmetic.
 ///
 /// # Panics
 /// Panics if `t` is not square of size `x.rows()`.
-pub fn propagate_ladder_with_ctl(
+pub fn propagate_with(
     t: &CsrMatrix,
     kernel: Kernel,
     x: &DenseMatrix,
     threads: usize,
-    should_stop: &dyn Fn() -> bool,
-) -> Option<(DenseMatrix, Vec<DenseMatrix>)> {
-    let mut ladder = Vec::with_capacity(kernel.steps().saturating_sub(1));
-    let out = propagate_ctl_impl(t, kernel, x, threads, should_stop, Some(&mut ladder))?;
-    Some((out, ladder))
-}
-
-/// Shared implementation: the single float path behind both public
-/// variants. `ladder`, when present, receives a clone of the step state
-/// *after* each of steps `1..=k-1` — capture never alters the arithmetic.
-fn propagate_ctl_impl(
-    t: &CsrMatrix,
-    kernel: Kernel,
-    x: &DenseMatrix,
-    threads: usize,
-    should_stop: &dyn Fn() -> bool,
+    stop: &(dyn Fn() -> bool + Sync),
     mut ladder: Option<&mut Vec<DenseMatrix>>,
 ) -> Option<DenseMatrix> {
     assert_eq!(t.rows(), t.cols(), "transition matrix must be square");
@@ -117,10 +66,10 @@ fn propagate_ctl_impl(
         Kernel::SymNorm { k } | Kernel::RandomWalk { k } | Kernel::TriangleIa { k } => {
             let mut cur = x.clone();
             for step in 1..=k {
-                if should_stop() {
+                if stop() {
                     return None;
                 }
-                cur = t.spmm_par(&cur, threads);
+                cur = t.spmm(&cur, threads);
                 capture(&cur, step);
             }
             cur
@@ -129,10 +78,10 @@ fn propagate_ctl_impl(
             // X^(k) = (1-a) T X^(k-1) + a X^(0)
             let mut cur = x.clone();
             for step in 1..=k {
-                if should_stop() {
+                if stop() {
                     return None;
                 }
-                let mut next = t.spmm_par(&cur, threads);
+                let mut next = t.spmm(&cur, threads);
                 ops::scale(&mut next, 1.0 - alpha);
                 ops::axpy(&mut next, alpha, x);
                 cur = next;
@@ -146,10 +95,10 @@ fn propagate_ctl_impl(
             let mut power = x.clone(); // T^l X
             let mut acc = DenseMatrix::zeros(x.rows(), x.cols());
             for step in 1..=k {
-                if should_stop() {
+                if stop() {
                     return None;
                 }
-                power = t.spmm_par(&power, threads);
+                power = t.spmm(&power, threads);
                 ops::axpy(&mut acc, 1.0 - alpha, &power);
                 ops::axpy(&mut acc, alpha, x);
                 capture(&power, step);
@@ -163,10 +112,10 @@ fn propagate_ctl_impl(
             let mut acc = x.clone(); // l = 0 term
             let mut weight = 1.0f32;
             for step in 1..=k {
-                if should_stop() {
+                if stop() {
                     return None;
                 }
-                power = t.spmm_par(&power, threads);
+                power = t.spmm(&power, threads);
                 weight *= beta;
                 ops::axpy(&mut acc, weight, &power);
                 capture(&power, step);
@@ -183,13 +132,13 @@ fn propagate_ctl_impl(
 /// the streaming bit-identity contract.
 ///
 /// The caller guarantees that every row of `X^(k)` that differs between
-/// `old` and a cold `propagate_with(t, kernel, x)` build is listed in
+/// `old` and a cold [`propagate_with`] build over `(t, kernel, x)` is listed in
 /// `dirty` (the k-hop ball of the touched transition rows and feature
 /// seeds — see `grain_graph::edit::k_hop_ball`); a superset is always
 /// safe. Under that contract the result is **bit-identical** to the cold
 /// build: dirty rows are recomputed level by level with exactly the
-/// per-row accumulation order of [`CsrMatrix::spmm_par`] and the same
-/// per-element combination steps as [`propagate_with_ctl`], and clean
+/// per-row accumulation order of [`CsrMatrix::spmm`] and the same
+/// per-element combination steps as [`propagate_with`], and clean
 /// rows are memcpy'd from `old`.
 ///
 /// Intermediate levels are not cached anywhere, so the recomputation
@@ -270,7 +219,7 @@ pub fn repropagate_rows(
         need.dedup();
         sets[l] = need;
     }
-    // One SpMM output row, in spmm_par's exact accumulation order.
+    // One SpMM output row, in `CsrMatrix::spmm`'s exact accumulation order.
     let spmm_row = |r: u32, level: usize, prev: &HashMap<u32, Vec<f32>>| -> Vec<f32> {
         let mut row = vec![0.0f32; d];
         let (idx, vals) = t.row(r as usize);
@@ -388,7 +337,7 @@ pub fn repropagate_rows(
 }
 
 /// [`repropagate_rows`] with a **power ladder** from
-/// [`propagate_ladder_with_ctl`]: because every level's clean rows are on
+/// [`propagate_with`]: because every level's clean rows are on
 /// hand, only the `dirty` rows are recomputed at each of the `k` steps —
 /// `O(k · |dirty| · nnz/row · d)` work, with no reverse-cone expansion
 /// over clean neighbors. Returns the patched `X^(k)` **and** the patched
@@ -480,7 +429,7 @@ pub fn repropagate_rows_laddered(
     fn row_slice(buf: &[f32], j: usize, d: usize) -> &[f32] {
         &buf[j * d..(j + 1) * d]
     }
-    // One SpMM output row per dirty row, in spmm_par's exact accumulation
+    // One SpMM output row per dirty row, in `CsrMatrix::spmm`'s exact accumulation
     // order: dirty prev values from `prev_dirty`, clean ones from the
     // level's cold-state source (`x` at level 1, the old ladder above).
     let spmm_dirty = |level: usize, prev_dirty: &[f32], cur: &mut [f32]| {
@@ -609,6 +558,28 @@ mod tests {
         generators::erdos_renyi_gnm(30, 60, 9)
     }
 
+    /// Uncancelled propagation over `threads` workers, optionally
+    /// capturing the power ladder.
+    fn run(
+        t: &CsrMatrix,
+        kernel: Kernel,
+        x: &DenseMatrix,
+        threads: usize,
+        ladder: Option<&mut Vec<DenseMatrix>>,
+    ) -> DenseMatrix {
+        propagate_with(t, kernel, x, threads, &|| false, ladder).unwrap()
+    }
+
+    fn run_laddered(
+        t: &CsrMatrix,
+        kernel: Kernel,
+        x: &DenseMatrix,
+    ) -> (DenseMatrix, Vec<DenseMatrix>) {
+        let mut ladder = Vec::new();
+        let out = run(t, kernel, x, 1, Some(&mut ladder));
+        (out, ladder)
+    }
+
     #[test]
     fn zero_steps_is_identity_for_iterative_kernels() {
         let g = test_graph();
@@ -689,7 +660,7 @@ mod tests {
         let x = features(30, 3);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
         let a = propagate(&g, Kernel::RandomWalk { k: 2 }, &x);
-        let b = propagate_with(&t, Kernel::RandomWalk { k: 2 }, &x);
+        let b = run(&t, Kernel::RandomWalk { k: 2 }, &x, 0, None);
         assert_eq!(a, b);
     }
 
@@ -699,10 +670,10 @@ mod tests {
         let x = features(200, 4);
         for kernel in Kernel::all_table1(2) {
             let t = transition_matrix(&g, kernel.transition_kind(), true);
-            let serial = propagate_with_par(&t, kernel, &x, 1);
+            let serial = run(&t, kernel, &x, 1, None);
             for threads in [2usize, 8] {
                 assert_eq!(
-                    propagate_with_par(&t, kernel, &x, threads),
+                    run(&t, kernel, &x, threads, None),
                     serial,
                     "{} at {threads} threads",
                     kernel.name()
@@ -761,8 +732,8 @@ mod tests {
             let k = kernel.steps();
             let t_old = transition_matrix(&g, kernel.transition_kind(), true);
             let t_new = transition_matrix(&edited, kernel.transition_kind(), true);
-            let old = propagate_with(&t_old, kernel, &x);
-            let cold = propagate_with(&t_new, kernel, &x);
+            let old = run(&t_old, kernel, &x, 0, None);
+            let cold = run(&t_new, kernel, &x, 0, None);
             // Generous dirty superset: every changed transition row lies
             // within one hop of a touched endpoint, so the (k+1)-hop ball
             // covers the k-hop ball of the transition-dirty rows.
@@ -783,10 +754,8 @@ mod tests {
             let k = kernel.steps();
             let t_old = transition_matrix(&g, kernel.transition_kind(), true);
             let t_new = transition_matrix(&edited, kernel.transition_kind(), true);
-            let (old, old_ladder) =
-                propagate_ladder_with_ctl(&t_old, kernel, &x, 1, &|| false).unwrap();
-            let (cold, cold_ladder) =
-                propagate_ladder_with_ctl(&t_new, kernel, &x, 1, &|| false).unwrap();
+            let (old, old_ladder) = run_laddered(&t_old, kernel, &x);
+            let (cold, cold_ladder) = run_laddered(&t_new, kernel, &x);
             assert_eq!(old_ladder.len(), k.saturating_sub(1), "{}", kernel.name());
             let dirty = k_hop_ball(&edited, &endpoints, k + 1);
             let refs: Vec<&DenseMatrix> = old_ladder.iter().collect();
@@ -808,9 +777,8 @@ mod tests {
         let x = features(30, 3);
         for kernel in Kernel::all_table1(3) {
             let t = transition_matrix(&g, kernel.transition_kind(), true);
-            let plain = propagate_with_par(&t, kernel, &x, 1);
-            let (laddered, ladder) =
-                propagate_ladder_with_ctl(&t, kernel, &x, 1, &|| false).unwrap();
+            let plain = run(&t, kernel, &x, 1, None);
+            let (laddered, ladder) = run_laddered(&t, kernel, &x);
             assert_eq!(plain, laddered, "{}", kernel.name());
             assert_eq!(ladder.len(), kernel.steps().saturating_sub(1));
         }
@@ -822,7 +790,7 @@ mod tests {
         let x = features(30, 3);
         let kernel = Kernel::RandomWalk { k: 2 };
         let t = transition_matrix(&g, kernel.transition_kind(), true);
-        let old = propagate_with(&t, kernel, &x);
+        let old = run(&t, kernel, &x, 0, None);
         assert_eq!(repropagate_rows(&t, kernel, &x, &old, &[]), old);
     }
 
@@ -847,7 +815,7 @@ mod tests {
         let x = features(30, 2);
         let kernel = Kernel::RandomWalk { k: 1 };
         let t = transition_matrix(&g, kernel.transition_kind(), true);
-        let old = propagate_with(&t, kernel, &x);
+        let old = run(&t, kernel, &x, 0, None);
         let _ = repropagate_rows(&t, kernel, &x, &old, &[7, 3]);
     }
 
@@ -857,29 +825,36 @@ mod tests {
         let x = features(30, 3);
         for kernel in Kernel::all_table1(2) {
             let t = transition_matrix(&g, kernel.transition_kind(), true);
-            let plain = propagate_with_par(&t, kernel, &x, 1);
-            let ctl = propagate_with_ctl(&t, kernel, &x, 1, &|| false).unwrap();
+            let plain = run(&t, kernel, &x, 1, None);
+            let ctl = propagate_with(&t, kernel, &x, 1, &|| false, None).unwrap();
             assert_eq!(plain, ctl, "{}", kernel.name());
         }
     }
 
     #[test]
     fn stop_probe_cancels_between_power_steps() {
-        use std::cell::Cell;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let g = test_graph();
         let x = features(30, 3);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
         // Stop before the very first step...
-        assert!(propagate_with_ctl(&t, Kernel::RandomWalk { k: 3 }, &x, 1, &|| true).is_none());
+        assert!(propagate_with(&t, Kernel::RandomWalk { k: 3 }, &x, 1, &|| true, None).is_none());
         // ...and between steps: the probe is polled once per power.
-        let polls = Cell::new(0usize);
-        let stop_after_two = || {
-            polls.set(polls.get() + 1);
-            polls.get() > 2
-        };
-        assert!(
-            propagate_with_ctl(&t, Kernel::RandomWalk { k: 5 }, &x, 1, &stop_after_two).is_none()
+        let polls = AtomicUsize::new(0);
+        let stop_after_two = || polls.fetch_add(1, Ordering::Relaxed) + 1 > 2;
+        assert!(propagate_with(
+            &t,
+            Kernel::RandomWalk { k: 5 },
+            &x,
+            1,
+            &stop_after_two,
+            None
+        )
+        .is_none());
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            3,
+            "polled at each of the first three powers"
         );
-        assert_eq!(polls.get(), 3, "polled at each of the first three powers");
     }
 }

@@ -118,47 +118,6 @@ fn cancel_racing_a_cold_build_fails_typed_without_wedging_anything() {
     assert_eq!(scheduler.stats().cancelled, 1);
 }
 
-/// `RetryPolicy` turns transient admission failures into eventual
-/// success: a full queue drains and the capped-backoff retry gets in.
-#[test]
-fn retry_policy_rides_out_a_full_queue() {
-    let service = service_with(&[("papers", 73)]);
-    let scheduler = Arc::new(Scheduler::new(
-        Arc::clone(&service),
-        SchedulerConfig {
-            queue_capacity: 1,
-            start_paused: true,
-            ..SchedulerConfig::default()
-        },
-    ));
-    let first = scheduler.submit(request("papers", 6)).unwrap();
-    // The queue is full; an immediate distinct submission is refused.
-    assert!(matches!(
-        scheduler.submit(request("papers", 4)).unwrap_err(),
-        GrainError::QueueFull { .. }
-    ));
-
-    let resumer = {
-        let scheduler = Arc::clone(&scheduler);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            scheduler.resume();
-        })
-    };
-    let policy = RetryPolicy {
-        max_attempts: 200,
-        base_delay: Duration::from_millis(2),
-        max_delay: Duration::from_millis(10),
-    };
-    let ticket = policy
-        .run(|| scheduler.submit(request("papers", 4)))
-        .expect("the queue drains and a retry is admitted");
-    assert_eq!(ticket.wait().unwrap().outcome().selected.len(), 4);
-    assert_eq!(first.wait().unwrap().outcome().selected.len(), 6);
-    resumer.join().unwrap();
-    assert!(scheduler.stats().rejected_queue_full >= 1);
-}
-
 /// A client that vanishes mid-flight takes its work with it: reader EOF
 /// trips the `CancelToken` of everything the connection still has
 /// queued, the slots are discarded without executing, and the server

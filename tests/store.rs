@@ -17,6 +17,7 @@
 //!    old epoch's files.
 
 use grain::core::store::ArtifactKind;
+use grain::influence::walk::kernel_power_weights;
 use grain::prelude::*;
 use grain_graph::{generators, transition_matrix};
 use proptest::prelude::*;
@@ -72,10 +73,11 @@ proptest! {
         ][kernel_pick];
         let (g, _) = corpus(n, seed);
         let t = transition_matrix(&g, kernel.transition_kind(), true);
+        let weights = kernel_power_weights(kernel);
         let rows =
-            InfluenceRows::for_kernel_topk_ctl(&t, kernel, 1e-4, top_k, threads, &|| false)
+            InfluenceRows::compute_weighted(&t, &weights, 1e-4, top_k, threads, &|| false)
                 .unwrap();
-        let index = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.3));
+        let index = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.3), 1);
 
         let scratch = ScratchDir::new("rt");
         let store = ArtifactStore::open(scratch.path()).unwrap();
@@ -149,7 +151,9 @@ fn every_corruption_is_a_typed_error_not_a_panic() {
     let (g, _) = corpus(60, 5);
     let kernel = Kernel::SymNorm { k: 2 };
     let t = transition_matrix(&g, kernel.transition_kind(), true);
-    let rows = InfluenceRows::for_kernel(&t, kernel, 1e-4);
+    let rows =
+        InfluenceRows::compute_weighted(&t, &kernel_power_weights(kernel), 1e-4, 0, 0, &|| false)
+            .unwrap();
     let scratch = ScratchDir::new("corrupt");
     let store = ArtifactStore::open(scratch.path()).unwrap();
     let addr = ContentAddress {
@@ -416,7 +420,8 @@ fn scratch_dirs_are_cleaned_up_on_drop() {
         let store = ArtifactStore::open(scratch.path()).unwrap();
         let (g, _) = corpus(30, 1);
         let t = transition_matrix(&g, grain_graph::TransitionKind::Symmetric, true);
-        let rows = InfluenceRows::for_kernel(&t, Kernel::SymNorm { k: 2 }, 1e-4);
+        let weights = kernel_power_weights(Kernel::SymNorm { k: 2 });
+        let rows = InfluenceRows::compute_weighted(&t, &weights, 1e-4, 0, 0, &|| false).unwrap();
         let addr = ContentAddress {
             graph_fingerprint: 1,
             epoch: 0,

@@ -263,6 +263,99 @@ fn feature_only_delta_skips_influence_rewalk() {
     assert_bit_identical(&patched, &reference, "feature-only delta");
 }
 
+/// Every way a corpus enters the service holds it to one policy: a
+/// non-finite feature, or a non-finite or non-positive edge weight, is
+/// refused as `InvalidCorpus` — at register (the id stays unregistered),
+/// at replace (the epoch stays put) and in a delta.
+#[test]
+fn ingress_refuses_non_finite_features_and_bad_weights_everywhere() {
+    let (g, x) = corpus(40, 3);
+    let service = GrainService::new();
+    service
+        .register_graph("live", g.clone(), x.clone())
+        .unwrap();
+
+    let edges: Vec<(u32, u32, f32)> = g
+        .adjacency()
+        .iter_triplets()
+        .filter(|&(u, v, _)| u < v)
+        .collect();
+    let mut bad: Vec<(&str, Graph, DenseMatrix)> = Vec::new();
+    for (what, value) in [
+        ("NaN feature", f32::NAN),
+        ("+inf feature", f32::INFINITY),
+        ("-inf feature", f32::NEG_INFINITY),
+    ] {
+        let mut y = x.clone();
+        y.set(7, 2, value);
+        bad.push((what, g.clone(), y));
+    }
+    for (what, weight) in [("NaN weight", f32::NAN), ("negative weight", -1.0)] {
+        let mut e = edges.clone();
+        e[0].2 = weight;
+        bad.push((what, Graph::from_weighted_edges(40, e), x.clone()));
+    }
+    for (what, graph, features) in bad {
+        let err = service
+            .register_graph("fresh", graph.clone(), features.clone())
+            .unwrap_err();
+        assert!(
+            matches!(err, GrainError::InvalidCorpus { .. }),
+            "register, {what}: {err}"
+        );
+        assert!(
+            !service.graphs().contains(&"fresh".to_string()),
+            "register, {what}: the corpus was registered"
+        );
+        let err = service.replace_graph("live", graph, features).unwrap_err();
+        assert!(
+            matches!(err, GrainError::InvalidCorpus { .. }),
+            "replace, {what}: {err}"
+        );
+        assert_eq!(service.epoch("live").unwrap(), 0, "replace, {what}");
+    }
+
+    let (u, v) = (0..40u32)
+        .flat_map(|u| (u + 1..40).map(move |v| (u, v)))
+        .find(|&(u, v)| !has_edge(&g, u, v))
+        .expect("a sparse corpus has an absent edge");
+    for (what, delta) in [
+        (
+            "NaN feature",
+            GraphDelta::new().set_features(7, vec![f32::NAN; FEATURE_DIM]),
+        ),
+        (
+            "+inf feature",
+            GraphDelta::new().set_features(7, vec![f32::INFINITY; FEATURE_DIM]),
+        ),
+        (
+            "-inf feature",
+            GraphDelta::new().set_features(7, vec![f32::NEG_INFINITY; FEATURE_DIM]),
+        ),
+        (
+            "NaN weight",
+            GraphDelta::new().insert_weighted(u, v, f32::NAN),
+        ),
+        ("zero weight", GraphDelta::new().insert_weighted(u, v, 0.0)),
+        (
+            "negative weight",
+            GraphDelta::new().insert_weighted(u, v, -1.0),
+        ),
+    ] {
+        let err = service.apply_update("live", &delta).unwrap_err();
+        assert!(
+            matches!(err, GrainError::InvalidCorpus { .. }),
+            "delta, {what}: {err}"
+        );
+        assert_eq!(service.epoch("live").unwrap(), 0, "delta, {what}");
+    }
+    // The valid corpus still registers and replaces.
+    service
+        .register_graph("fresh", g.clone(), x.clone())
+        .unwrap();
+    assert_eq!(service.replace_graph("live", g, x).unwrap(), 1);
+}
+
 /// Epoch semantics under the scheduler: selections queued (and coalesced)
 /// before an `apply_update` lands still complete, and everything that
 /// *executes* after the flip is bit-identical to a cold service over the

@@ -18,7 +18,7 @@ fn instance(nodes: usize, edges: usize, seed: u64) -> (Graph, DenseMatrix, Activ
     let g = generators::erdos_renyi_gnm(nodes, edges, seed);
     let t = grain_graph::transition_matrix(&g, TransitionKind::RandomWalk, true);
     let rows = InfluenceRows::compute(&t, 2, 0.0);
-    let idx = ActivationIndex::build_with_rule(&rows, ThetaRule::RelativeToRowMax(0.3));
+    let idx = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.3), 1);
     let data: Vec<f32> = (0..nodes * 4)
         .map(|i| {
             (((i as u64).wrapping_mul(seed ^ 0x9e3779b97f4a7c15) >> 33) % 97) as f32 * 0.05 + 0.01
@@ -45,7 +45,7 @@ proptest! {
     #[test]
     fn ball_diversity_monotone_submodular(seed in 0u64..500, nodes in 12usize..24) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let universe: Vec<u32> = (0..6u32).collect();
         let mut f = |s: &[u32]| {
             let mut div = BallDiversity::new(&emb, 0.1);
@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn nn_diversity_monotone_submodular(seed in 0u64..500, nodes in 12usize..20) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let universe: Vec<u32> = (0..5u32).collect();
         let mut f = |s: &[u32]| {
             let mut div = NnDiversity::new(emb.clone(), 1024);
@@ -74,7 +74,7 @@ proptest! {
     #[test]
     fn dim_objective_monotone_submodular(seed in 0u64..300, nodes in 12usize..20) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let universe: Vec<u32> = (0..5u32).collect();
         let mut f = |s: &[u32]| {
             let div = BallDiversity::new(&emb, 0.1);
@@ -91,12 +91,12 @@ proptest! {
     #[test]
     fn celf_equals_plain_greedy(seed in 0u64..500, nodes in 15usize..40, budget in 2usize..8) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let candidates: Vec<u32> = (0..nodes as u32).collect();
         let mut a = DimObjective::new(&idx, BallDiversity::new(&emb, 0.1), 1.0);
-        let ta = plain_greedy(&mut a, &candidates, budget);
+        let ta = plain_greedy(&mut a, &candidates, budget, &CancelToken::new(), usize::MAX);
         let mut b = DimObjective::new(&idx, BallDiversity::new(&emb, 0.1), 1.0);
-        let tb = lazy_greedy(&mut b, &candidates, budget);
+        let tb = lazy_greedy(&mut b, &candidates, budget, &CancelToken::new(), usize::MAX);
         prop_assert_eq!(&ta.selected, &tb.selected);
         prop_assert!(tb.evaluations <= ta.evaluations);
     }
@@ -105,10 +105,10 @@ proptest! {
     #[test]
     fn greedy_trace_concave(seed in 0u64..300, nodes in 15usize..30) {
         let (_, x, idx) = instance(nodes, nodes * 2, seed);
-        let emb = grain_linalg::distance::normalized_embedding(&x);
+        let emb = grain_linalg::distance::normalized_embedding(&x, 1);
         let candidates: Vec<u32> = (0..nodes as u32).collect();
         let mut obj = DimObjective::new(&idx, BallDiversity::new(&emb, 0.1), 1.0);
-        let trace = plain_greedy(&mut obj, &candidates, 6);
+        let trace = plain_greedy(&mut obj, &candidates, 6, &CancelToken::new(), usize::MAX);
         let mut last_value = 0.0;
         let mut last_gain = f64::INFINITY;
         for &v in &trace.objective_trace {
