@@ -1,5 +1,5 @@
-//! The edge wire protocol: length-prefixed frames in the store's
-//! flat-binary dialect.
+//! The edge wire protocol: length-prefixed frames in the shared
+//! flat-binary [`codec`].
 //!
 //! Every frame is a `u32` little-endian payload length followed by the
 //! payload itself:
@@ -8,23 +8,24 @@
 //! |---|---|---|
 //! | 0 | payload length | `u32` LE (≤ the connection's max frame length) |
 //! | 4 | magic | `u32` LE, `b"GRNE"` |
-//! | 8 | version | `u8`, currently 1 |
+//! | 8 | version | `u8`, currently 2 |
 //! | 9 | kind | `u8` (1 Hello, 2 HelloAck, 3 Request, 4 Response, 5 Error) |
 //! | 10 | body | kind-specific flat binary |
-//! | len−4 | checksum | `u64` FNV-1a over payload bytes before it |
+//! | len−4 | checksum | `u64` [`codec::checksum`] over the payload bytes before it |
 //!
-//! The body dialect matches `store.rs`: all integers little-endian,
-//! strings as `u32` length + UTF-8 bytes, lists as `u32` element count +
-//! elements, `f32`/`f64` by IEEE bit pattern (so round-trips are
-//! bit-exact — the property the wire bit-identity contract rests on),
-//! enums as `u8`/`u16` tags. **Any** structural violation — short
-//! payload, bad magic, unknown version or tag, checksum mismatch, lying
-//! length prefix, trailing bytes — decodes to [`FrameError::Protocol`],
-//! never a panic; payload truncation by the peer surfaces as
-//! [`FrameError::Io`] and a clean close at a frame boundary as
-//! [`FrameError::Closed`].
+//! The body follows the codec's rules, the same as the artifact store's
+//! files: all integers little-endian, strings as `u32` length + UTF-8
+//! bytes, lists as `u32` element count + elements, `f32`/`f64` by IEEE
+//! bit pattern (so round-trips are bit-exact — the property the wire
+//! bit-identity contract rests on), enums as `u8`/`u16` tags. **Any**
+//! structural violation — short payload, bad magic, unknown version or
+//! tag, checksum mismatch, lying length prefix, trailing bytes — decodes
+//! to [`FrameError::Protocol`], never a panic; payload truncation by the
+//! peer surfaces as [`FrameError::Io`] and a clean close at a frame
+//! boundary as [`FrameError::Closed`].
 
 use crate::cancel::{CancelCause, OnDeadline};
+use crate::codec::{self, Dec, DecResult, Enc};
 use crate::config::{DiversityKind, GrainConfig, GrainVariant, GreedyAlgorithm, PruneStrategy};
 use crate::error::{DeadlineStage, GrainError};
 use crate::selector::{Completion, SelectionOutcome};
@@ -37,7 +38,7 @@ use std::io::{Read, Write};
 pub const EDGE_MAGIC: u32 = u32::from_le_bytes(*b"GRNE");
 
 /// Wire codec version; bumped on any layout change.
-pub const EDGE_VERSION: u8 = 1;
+pub const EDGE_VERSION: u8 = 2;
 
 /// Default per-connection frame-size cap (16 MiB) — large candidate
 /// lists fit, but a hostile length prefix cannot reserve unbounded
@@ -48,17 +49,9 @@ pub const DEFAULT_MAX_FRAME_LEN: usize = 16 << 20;
 /// checksum with an empty body.
 pub const MIN_PAYLOAD_LEN: usize = 4 + 1 + 1 + 8;
 
-/// 64-bit FNV-1a over a byte string (the store's checksum primitive,
-/// restated over the frame payload).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// Smallest encoding of one [`WireOutcome`]: three empty lists, the
+/// diversity value, two counts and the completion tag.
+const MIN_OUTCOME_LEN: usize = 4 + 4 + 4 + 8 + 8 + 8 + 1;
 
 // ---------------------------------------------------------------------------
 // Error codes
@@ -292,160 +285,6 @@ impl std::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 // ---------------------------------------------------------------------------
-// Flat-binary cursors
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn count(&mut self, n: usize) {
-        self.u32(u32::try_from(n).expect("list beyond u32 length"));
-    }
-    fn str(&mut self, s: &str) {
-        self.count(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn u32s(&mut self, vs: &[u32]) {
-        self.count(vs.len());
-        for &v in vs {
-            self.u32(v);
-        }
-    }
-    fn f64s(&mut self, vs: &[f64]) {
-        self.count(vs.len());
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-    fn usizes(&mut self, vs: &[usize]) {
-        self.count(vs.len());
-        for &v in vs {
-            self.usize(v);
-        }
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-type DecResult<T> = Result<T, String>;
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
-        if n > self.remaining() {
-            return Err(format!(
-                "body overrun: wanted {n} bytes at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            ));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> DecResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> DecResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> DecResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> DecResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn usize(&mut self) -> DecResult<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| format!("u64 {v} does not fit usize"))
-    }
-    fn f32(&mut self) -> DecResult<f32> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-    fn f64(&mut self) -> DecResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A list's element count, validated against the bytes actually
-    /// remaining so a lying prefix cannot reserve unbounded memory.
-    fn count(&mut self, elem_size: usize) -> DecResult<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(elem_size) > self.remaining() {
-            return Err(format!(
-                "length prefix {n} (×{elem_size}B) exceeds remaining body {}",
-                self.remaining()
-            ));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> DecResult<String> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
-    }
-
-    fn u32s(&mut self) -> DecResult<Vec<u32>> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.u32()).collect()
-    }
-    fn f64s(&mut self) -> DecResult<Vec<f64>> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-    fn usizes(&mut self) -> DecResult<Vec<usize>> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.usize()).collect()
-    }
-
-    fn finish(self) -> DecResult<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after body",
-                self.buf.len() - self.pos
-            ))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Body encodings
 // ---------------------------------------------------------------------------
 
@@ -646,14 +485,14 @@ fn enc_request(e: &mut Enc, wire: &WireRequest) {
         }
         Budget::Sweep(budgets) => {
             e.u8(2);
-            e.usizes(budgets);
+            e.usize_list(budgets);
         }
     }
     match &request.candidates {
         None => e.u8(0),
         Some(candidates) => {
             e.u8(1);
-            e.u32s(candidates);
+            e.list(candidates);
         }
     }
     match request.variant {
@@ -680,12 +519,12 @@ fn dec_request(d: &mut Dec<'_>) -> DecResult<WireRequest> {
     let budget = match d.u8()? {
         0 => Budget::Fixed(d.usize()?),
         1 => Budget::Fraction(d.f64()?),
-        2 => Budget::Sweep(d.usizes()?),
+        2 => Budget::Sweep(d.usize_list()?),
         tag => return Err(format!("unknown budget tag {tag}")),
     };
     let candidates = match d.u8()? {
         0 => None,
-        1 => Some(d.u32s()?),
+        1 => Some(d.list()?),
         tag => return Err(format!("unknown candidates flag {tag}")),
     };
     let variant = match d.u8()? {
@@ -744,12 +583,12 @@ fn enc_response(e: &mut Enc, report: &WireReport) {
         PoolEvent::JoinedBuild => 3,
         PoolEvent::CoalescedSelection => 4,
     });
-    e.usizes(&report.budgets);
+    e.usize_list(&report.budgets);
     e.count(report.outcomes.len());
     for outcome in &report.outcomes {
-        e.u32s(&outcome.selected);
-        e.f64s(&outcome.objective_trace);
-        e.u32s(&outcome.sigma);
+        e.list(&outcome.selected);
+        e.list(&outcome.objective_trace);
+        e.list(&outcome.sigma);
         e.f64(outcome.diversity_value);
         e.usize(outcome.evaluations);
         e.usize(outcome.candidates_after_prune);
@@ -767,14 +606,14 @@ fn dec_response(d: &mut Dec<'_>) -> DecResult<WireReport> {
         4 => PoolEvent::CoalescedSelection,
         tag => return Err(format!("unknown pool-event tag {tag}")),
     };
-    let budgets = d.usizes()?;
-    let n = d.count(1)?;
+    let budgets = d.usize_list()?;
+    let n = d.count(MIN_OUTCOME_LEN)?;
     let mut outcomes = Vec::with_capacity(n);
     for _ in 0..n {
         outcomes.push(WireOutcome {
-            selected: d.u32s()?,
-            objective_trace: d.f64s()?,
-            sigma: d.u32s()?,
+            selected: d.list()?,
+            objective_trace: d.list()?,
+            sigma: d.list()?,
             diversity_value: d.f64()?,
             evaluations: d.usize()?,
             candidates_after_prune: d.usize()?,
@@ -818,15 +657,14 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             e.str(&error.message);
         }
     }
-    let sum = fnv1a64(&e.buf);
-    e.u64(sum);
-    let mut framed = Vec::with_capacity(4 + e.buf.len());
+    let payload = e.seal();
+    let mut framed = Vec::with_capacity(4 + payload.len());
     framed.extend_from_slice(
-        &u32::try_from(e.buf.len())
+        &u32::try_from(payload.len())
             .expect("frame beyond u32")
             .to_le_bytes(),
     );
-    framed.extend_from_slice(&e.buf);
+    framed.extend_from_slice(&payload);
     framed
 }
 
@@ -860,50 +698,41 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], at_boundary: bool) -> Result
 
 /// Decodes one frame payload (the bytes after the length prefix).
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
-    let protocol = FrameError::Protocol;
-    if payload.len() < MIN_PAYLOAD_LEN {
-        return Err(protocol(format!(
-            "payload of {} bytes is below the {MIN_PAYLOAD_LEN}-byte minimum",
-            payload.len()
-        )));
-    }
-    let (body, sum_bytes) = payload.split_at(payload.len() - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    if fnv1a64(body) != stored {
-        return Err(protocol("checksum mismatch".into()));
-    }
-    let mut d = Dec::new(body);
-    let magic = d.u32().map_err(protocol)?;
+    dec_payload(payload).map_err(FrameError::Protocol)
+}
+
+fn dec_payload(payload: &[u8]) -> DecResult<Frame> {
+    let mut d = Dec::new(codec::unseal(payload)?);
+    let magic = d.u32()?;
     if magic != EDGE_MAGIC {
-        return Err(protocol(format!("bad magic {magic:#010x}")));
+        return Err(format!("bad magic {magic:#010x}"));
     }
-    let version = d.u8().map_err(protocol)?;
+    let version = d.u8()?;
     if version != EDGE_VERSION {
-        return Err(protocol(format!(
+        return Err(format!(
             "unsupported version {version} (this end speaks {EDGE_VERSION})"
-        )));
+        ));
     }
-    let kind = d.u8().map_err(protocol)?;
-    let frame = match kind {
+    let frame = match d.u8()? {
         1 => Frame::Hello(Hello {
-            tenant: d.str().map_err(protocol)?,
-            secret: d.str().map_err(protocol)?,
+            tenant: d.str()?,
+            secret: d.str()?,
         }),
         2 => Frame::HelloAck(HelloAck {
-            weight: d.u32().map_err(protocol)?,
-            rate_per_sec: d.f64().map_err(protocol)?,
-            burst: d.f64().map_err(protocol)?,
+            weight: d.u32()?,
+            rate_per_sec: d.f64()?,
+            burst: d.f64()?,
         }),
-        3 => Frame::Request(Box::new(dec_request(&mut d).map_err(protocol)?)),
-        4 => Frame::Response(dec_response(&mut d).map_err(protocol)?),
+        3 => Frame::Request(Box::new(dec_request(&mut d)?)),
+        4 => Frame::Response(dec_response(&mut d)?),
         5 => Frame::Error(WireError {
-            request_id: d.u64().map_err(protocol)?,
-            code: d.u16().map_err(protocol)?,
-            message: d.str().map_err(protocol)?,
+            request_id: d.u64()?,
+            code: d.u16()?,
+            message: d.str()?,
         }),
-        tag => return Err(protocol(format!("unknown frame kind {tag}"))),
+        tag => return Err(format!("unknown frame kind {tag}")),
     };
-    d.finish().map_err(protocol)?;
+    d.finish()?;
     Ok(frame)
 }
 
@@ -1015,6 +844,16 @@ mod tests {
             read_frame(&mut cursor, DEFAULT_MAX_FRAME_LEN),
             Err(FrameError::Protocol(_))
         ));
+        // A version-1 frame (re-sealed so only the version trips).
+        let mut payload = encode_frame(&Frame::Request(Box::new(sample_request()))).split_off(4);
+        payload[4] = 1;
+        let body = payload.len() - 8;
+        let sum = codec::checksum(&payload[..body]);
+        payload[body..].copy_from_slice(&sum.to_le_bytes());
+        let Err(FrameError::Protocol(message)) = decode_payload(&payload) else {
+            panic!("a version-1 frame must be refused");
+        };
+        assert!(message.contains("unsupported version 1"), "{message}");
     }
 
     #[test]
@@ -1033,6 +872,43 @@ mod tests {
             read_frame(&mut empty, DEFAULT_MAX_FRAME_LEN),
             Err(FrameError::Closed)
         ));
+    }
+
+    #[test]
+    fn outcome_count_is_checked_against_the_smallest_outcome() {
+        let mut e = Enc::default();
+        e.u32(EDGE_MAGIC);
+        e.u8(EDGE_VERSION);
+        e.u8(4);
+        e.u64(9);
+        e.u8(0);
+        e.usize_list(&[]);
+        // 74 bytes follow the count: room for two smallest outcomes, not three.
+        e.count(3);
+        e.bytes(&[0; 2 * MIN_OUTCOME_LEN]);
+        let Err(FrameError::Protocol(message)) = decode_payload(&e.seal()) else {
+            panic!("an outcome count beyond the body must be refused");
+        };
+        assert!(message.contains("length prefix 3"), "{message}");
+    }
+
+    #[test]
+    fn hello_frame_bytes_are_pinned() {
+        // The wire format, checksum included, is a contract with deployed
+        // peers: changing these bytes requires bumping `EDGE_VERSION`.
+        let bytes = encode_frame(&Frame::Hello(Hello {
+            tenant: "acme".into(),
+            secret: "s3".into(),
+        }));
+        #[rustfmt::skip]
+        let golden: [u8; 32] = [
+            28, 0, 0, 0, // payload length
+            b'G', b'R', b'N', b'E', 2, 1, // magic, version, kind
+            4, 0, 0, 0, b'a', b'c', b'm', b'e', // tenant
+            2, 0, 0, 0, b's', b'3', // secret
+            113, 44, 47, 3, 3, 105, 208, 126, // checksum
+        ];
+        assert_eq!(bytes, golden);
     }
 
     #[test]

@@ -42,9 +42,6 @@
 //! service's batched warm path. Submissions return
 //! [`scheduler::Ticket`]s; every scheduled path stays bit-identical to
 //! serial [`service::GrainService::select`] calls.
-//! [`selector::GrainSelector`] remains as a thin validated-config facade
-//! whose `engine` constructor opens the staged pipeline directly (its
-//! deprecated positional one-shots are gone).
 //!
 //! Corpora are live, not frozen: [`streaming`] adds
 //! [`streaming::GraphDelta`] batches (edge inserts/deletes, feature
@@ -67,6 +64,7 @@
 //! re-propagating every corpus.
 
 pub mod cancel;
+pub mod codec;
 pub mod config;
 pub mod diversity;
 pub mod edge;
@@ -92,7 +90,7 @@ pub use scheduler::{
     CancelHandle, FairShare, ScheduledRequest, Scheduler, SchedulerConfig, SchedulerStats,
     TenantStats, Ticket,
 };
-pub use selector::{Completion, GrainSelector, SelectionOutcome};
+pub use selector::{Completion, SelectionOutcome};
 pub use service::{
     Budget, EngineCheckout, EnginePool, GrainService, PoolEvent, PoolStats, SelectionReport,
     SelectionRequest,

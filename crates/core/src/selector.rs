@@ -1,6 +1,6 @@
-//! The one-shot Grain selector: a thin wrapper over [`SelectionEngine`].
+//! What one Grain selection run reports: [`SelectionOutcome`].
 //!
-//! Wires together the full §3 stack:
+//! A run wires together the full §3 stack:
 //!
 //! 1. decoupled propagation `X^(k)` (Eq. 6, via `grain-prop`),
 //! 2. influence rows under the kernel's Jacobian (Definition 3.1),
@@ -11,26 +11,13 @@
 //! with optional §3.4 candidate pruning. One call = one labeling campaign:
 //! Grain is model-free and oracle-free, so the whole budget is selected in
 //! a single pass with no retraining in the loop. Every stage runs inside a
-//! [`SelectionEngine`]; callers answering many selections over one
-//! corpus (budget sweeps, sensitivity scans, serving) should hold a warm
-//! engine — see [`GrainSelector::engine`] — or go through
+//! [`SelectionEngine`](crate::engine::SelectionEngine); callers answering
+//! many selections over one corpus (budget sweeps, sensitivity scans,
+//! serving) should hold a warm engine or go through
 //! [`crate::service::GrainService`], the pooled request/response front
 //! door.
-//!
-//! The pre-service positional one-shots (`GrainSelector::select`,
-//! `GrainSelector::activation_index`) spent their one deprecation release
-//! as bit-identical shims and are now **removed**; [`GrainSelector`]
-//! remains as a thin, validated config holder whose
-//! [`GrainSelector::engine`] constructor is the supported path into the
-//! staged pipeline. Use [`SelectionEngine::activation_index`] on a warm
-//! engine where the removed index shim was used.
 
 use crate::cancel::CancelCause;
-use crate::config::GrainConfig;
-use crate::engine::SelectionEngine;
-use crate::error::GrainResult;
-use grain_graph::Graph;
-use grain_linalg::DenseMatrix;
 use std::time::Duration;
 
 /// Wall-clock breakdown of one selection run.
@@ -123,61 +110,14 @@ impl SelectionOutcome {
     }
 }
 
-/// Grain node selector (the paper's contribution, ready to run).
-#[derive(Clone, Debug, Default)]
-pub struct GrainSelector {
-    config: GrainConfig,
-}
-
-impl GrainSelector {
-    /// Selector with an explicit configuration, rejecting configurations
-    /// that fail [`GrainConfig::validate`].
-    pub fn new(config: GrainConfig) -> GrainResult<Self> {
-        config.validate()?;
-        Ok(Self { config })
-    }
-
-    /// Selector with an explicit configuration, skipping validation.
-    ///
-    /// Intended for constants already known to be valid;
-    /// [`GrainSelector::engine`] still validates when it builds the
-    /// engine and reports an invalid configuration as a typed error.
-    #[must_use]
-    pub fn new_unchecked(config: GrainConfig) -> Self {
-        Self { config }
-    }
-
-    /// The paper's "Grain (ball-D)" selector with Appendix A.4 defaults.
-    #[must_use]
-    pub fn ball_d() -> Self {
-        Self::new_unchecked(GrainConfig::ball_d())
-    }
-
-    /// The paper's "Grain (NN-D)" selector with Appendix A.4 defaults.
-    #[must_use]
-    pub fn nn_d() -> Self {
-        Self::new_unchecked(GrainConfig::nn_d())
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GrainConfig {
-        &self.config
-    }
-
-    /// A warm [`SelectionEngine`] over `graph`/`features` with this
-    /// selector's configuration — the amortized path for repeated
-    /// selections on one corpus. The corpus is cloned into the engine;
-    /// use [`SelectionEngine::over`] with `Arc` handles to share instead.
-    pub fn engine(&self, graph: &Graph, features: &DenseMatrix) -> GrainResult<SelectionEngine> {
-        SelectionEngine::new(self.config, graph, features)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GrainVariant, GreedyAlgorithm, PruneStrategy};
+    use crate::config::{GrainConfig, GrainVariant, GreedyAlgorithm, PruneStrategy};
+    use crate::engine::SelectionEngine;
     use grain_graph::generators::{self, SbmConfig};
+    use grain_graph::Graph;
+    use grain_linalg::DenseMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -228,19 +168,6 @@ mod tests {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), 12);
-    }
-
-    #[test]
-    fn selector_engine_constructor_matches_direct_engine() {
-        // The facade's engine constructor must be a pure pass-through.
-        let (g, x) = dataset(1);
-        let candidates: Vec<u32> = (0..g.num_nodes() as u32).collect();
-        let mut via_facade = GrainSelector::ball_d().engine(&g, &x).unwrap();
-        let facade = via_facade.select(&candidates, 12);
-        let direct = one_shot(GrainConfig::ball_d(), &g, &x, &candidates, 12);
-        assert_eq!(facade.selected, direct.selected);
-        assert_eq!(facade.sigma, direct.sigma);
-        assert_eq!(facade.objective_trace, direct.objective_trace);
     }
 
     #[test]

@@ -27,22 +27,23 @@
 //! - `codec_version` — bumped whenever the byte layout changes; older
 //!   files are treated as absent, never misparsed.
 //!
-//! # Codec
+//! # Layout
 //!
-//! A hand-rolled flat little-endian layout (shim policy: no serde
-//! dependency growth) that mirrors the in-memory SoA structs, so encode
-//! and decode are bulk `memcpy`s on little-endian targets:
+//! Files are written with the shared flat-binary [`codec`]
+//! (shim policy: no serde dependency growth). The payload mirrors the
+//! in-memory SoA structs, so encode and decode are bulk `memcpy`s on
+//! little-endian targets:
 //!
 //! | section | contents |
 //! |---|---|
 //! | magic | `b"GRAINART"` (8 bytes) |
-//! | codec version | `u32` |
+//! | codec version | `u32`, currently 2 |
 //! | artifact kind | `u32` (1 = propagation, 2 = rows, 3 = index) |
 //! | graph fingerprint | `u64` |
 //! | epoch | `u64` |
-//! | artifact fingerprint | length-prefixed UTF-8 |
+//! | artifact fingerprint | `u32` length + UTF-8 |
 //! | kind header + payload | dims as `u64`, then the flat arrays |
-//! | checksum | `u64` FNV-1a over every preceding byte |
+//! | checksum | `u64` [`codec::checksum`] (word-wise FNV with the length folded in) over every preceding byte |
 //!
 //! # Failure model
 //!
@@ -54,6 +55,7 @@
 //! Writes go through a temp file + atomic rename, so a torn write leaves
 //! either the old file or no file, both of which load correctly or miss.
 
+use crate::codec::{self, Dec, DecResult, Enc, Fnv64};
 use crate::error::{GrainError, GrainResult};
 use grain_graph::Graph;
 use grain_influence::{ActivationIndex, InfluenceRows};
@@ -67,7 +69,7 @@ const MAGIC: [u8; 8] = *b"GRAINART";
 
 /// Current byte-layout version. Bump on any layout change; older files
 /// then read as [`GrainError::StoreCorrupt`] and cold builds re-persist.
-pub const CODEC_VERSION: u32 = 1;
+pub const CODEC_VERSION: u32 = 2;
 
 /// Which artifact a store file carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -202,12 +204,13 @@ impl ArtifactStore {
     /// filename-hash collision into a detected mismatch, not a wrong
     /// artifact.
     pub fn path_for(&self, addr: &ContentAddress, kind: ArtifactKind) -> PathBuf {
-        let fp_hash = hash_bytes(addr.artifact_fingerprint.as_bytes());
+        let mut fp_hash = Fnv64::new();
+        fp_hash.write(addr.artifact_fingerprint.as_bytes());
         self.dir.join(format!(
             "{:016x}-e{}-{:016x}.{}.grain",
             addr.graph_fingerprint,
             addr.epoch,
-            fp_hash,
+            fp_hash.finish(),
             kind.ext()
         ))
     }
@@ -225,14 +228,14 @@ impl ArtifactStore {
         enc.u64(value.rows() as u64);
         enc.u64(value.cols() as u64);
         enc.u64(ladder.len() as u64);
-        enc.f32_slice(value.as_slice());
+        enc.slice(value.as_slice());
         for level in ladder {
             assert_eq!(
                 (level.rows(), level.cols()),
                 (value.rows(), value.cols()),
                 "ladder levels share X^(k)'s shape"
             );
-            enc.f32_slice(level.as_slice());
+            enc.slice(level.as_slice());
         }
         self.seal(addr, ArtifactKind::Propagation, enc)
     }
@@ -244,8 +247,8 @@ impl ArtifactStore {
         enc.u64(rows.nnz() as u64);
         enc.u64(rows.k() as u64);
         enc.usize_slice(rows.offsets());
-        enc.u32_slice(rows.cols());
-        enc.f32_slice(rows.vals());
+        enc.slice(rows.cols());
+        enc.slice(rows.vals());
         self.seal(addr, ArtifactKind::InfluenceRows, enc)
     }
 
@@ -257,7 +260,7 @@ impl ArtifactStore {
         enc.u64(index.k() as u64);
         enc.f32(index.theta());
         enc.usize_slice(index.offsets());
-        enc.u32_slice(index.items());
+        enc.slice(index.items());
         self.seal(addr, ArtifactKind::ActivationIndex, enc)
     }
 
@@ -272,12 +275,10 @@ impl ArtifactStore {
         enc
     }
 
-    fn seal(&self, addr: &ContentAddress, kind: ArtifactKind, mut enc: Enc) -> PendingArtifact {
-        let sum = checksum64(&enc.buf);
-        enc.u64(sum);
+    fn seal(&self, addr: &ContentAddress, kind: ArtifactKind, enc: Enc) -> PendingArtifact {
         PendingArtifact {
             path: self.path_for(addr, kind),
-            bytes: enc.buf,
+            bytes: enc.seal(),
         }
     }
 
@@ -326,82 +327,59 @@ impl ArtifactStore {
         &self,
         addr: &ContentAddress,
     ) -> GrainResult<Option<(DenseMatrix, Vec<DenseMatrix>)>> {
-        let kind = ArtifactKind::Propagation;
-        let Some((raw, body)) = self.read_validated(addr, kind)? else {
-            return Ok(None);
-        };
-        let parsed = (|| -> GrainResult<(DenseMatrix, Vec<DenseMatrix>)> {
-            let mut dec = Dec::new((&raw, body));
-            let rows = dec.dim("rows")?;
-            let cols = dec.dim("cols")?;
-            let levels = dec.dim("ladder levels")?;
-            let cells = rows
-                .checked_mul(cols)
-                .ok_or_else(|| GrainError::store("propagation dims overflow".to_string()))?;
-            let value = DenseMatrix::from_vec(rows, cols, dec.f32_vec(cells)?);
+        self.load(addr, ArtifactKind::Propagation, |dec| {
+            let rows = dec.usize()?;
+            let cols = dec.usize()?;
+            let levels = dec.usize()?;
+            let cells = rows.checked_mul(cols).ok_or("propagation dims overflow")?;
+            let value = DenseMatrix::from_vec(rows, cols, dec.vec(cells)?);
             let ladder = (0..levels)
-                .map(|_| Ok(DenseMatrix::from_vec(rows, cols, dec.f32_vec(cells)?)))
-                .collect::<GrainResult<Vec<_>>>()?;
-            dec.finish()?;
+                .map(|_| Ok(DenseMatrix::from_vec(rows, cols, dec.vec(cells)?)))
+                .collect::<DecResult<Vec<_>>>()?;
             Ok((value, ladder))
-        })();
-        self.account_load(&raw, kind, parsed)
+        })
     }
 
     /// Loads and validates influence rows (see
     /// [`ArtifactStore::load_propagation`] for the `None`/`Err` contract).
     pub fn load_rows(&self, addr: &ContentAddress) -> GrainResult<Option<InfluenceRows>> {
-        let kind = ArtifactKind::InfluenceRows;
-        let Some((raw, body)) = self.read_validated(addr, kind)? else {
-            return Ok(None);
-        };
-        let parsed = (|| -> GrainResult<InfluenceRows> {
-            let mut dec = Dec::new((&raw, body));
-            let n = dec.dim("nodes")?;
-            let nnz = dec.dim("nnz")?;
-            let k = dec.dim("k")?;
-            let offsets = dec.usize_vec(n + 1)?;
-            let cols = dec.u32_vec(nnz)?;
-            let vals = dec.f32_vec(nnz)?;
-            dec.finish()?;
+        self.load(addr, ArtifactKind::InfluenceRows, |dec| {
+            let n = dec.usize()?;
+            let nnz = dec.usize()?;
+            let k = dec.usize()?;
+            let offsets = dec.usize_vec(n.checked_add(1).ok_or("node count overflows")?)?;
+            let cols = dec.vec(nnz)?;
+            let vals = dec.vec(nnz)?;
             validate_csr(&offsets, &cols, nnz, n, "influence rows")?;
             Ok(InfluenceRows::from_parts(offsets, cols, vals, k))
-        })();
-        self.account_load(&raw, kind, parsed)
+        })
     }
 
     /// Loads and validates an activation index (see
     /// [`ArtifactStore::load_propagation`] for the `None`/`Err` contract).
     pub fn load_index(&self, addr: &ContentAddress) -> GrainResult<Option<ActivationIndex>> {
-        let kind = ArtifactKind::ActivationIndex;
-        let Some((raw, body)) = self.read_validated(addr, kind)? else {
-            return Ok(None);
-        };
-        let parsed = (|| -> GrainResult<ActivationIndex> {
-            let mut dec = Dec::new((&raw, body));
-            let n = dec.dim("nodes")?;
-            let entries = dec.dim("entries")?;
-            let k = dec.dim("k")?;
+        self.load(addr, ArtifactKind::ActivationIndex, |dec| {
+            let n = dec.usize()?;
+            let entries = dec.usize()?;
+            let k = dec.usize()?;
             let theta = dec.f32()?;
-            let offsets = dec.usize_vec(n + 1)?;
-            let items = dec.u32_vec(entries)?;
-            dec.finish()?;
+            let offsets = dec.usize_vec(n.checked_add(1).ok_or("node count overflows")?)?;
+            let items = dec.vec(entries)?;
             validate_csr(&offsets, &items, entries, n, "activation index")?;
             Ok(ActivationIndex::from_parts(offsets, items, theta, k))
-        })();
-        self.account_load(&raw, kind, parsed)
+        })
     }
 
-    /// Reads a file and validates everything address-level: magic,
-    /// version, kind, checksum, and the full content address. Returns the
-    /// raw file plus the body span `(start, end)` the kind-specific
-    /// decoder owns.
-    #[allow(clippy::type_complexity)]
-    fn read_validated(
+    /// Reads the file an address + kind maps to, validates everything
+    /// address-level — checksum, magic, version, kind and the full
+    /// content address — then hands the body to the kind's `parse` and
+    /// requires it to consume every byte.
+    fn load<T>(
         &self,
         addr: &ContentAddress,
         kind: ArtifactKind,
-    ) -> GrainResult<Option<(Vec<u8>, (usize, usize))>> {
+        parse: impl FnOnce(&mut Dec<'_>) -> DecResult<T>,
+    ) -> GrainResult<Option<T>> {
         let path = self.path_for(addr, kind);
         let raw = match fs::read(&path) {
             Ok(raw) => raw,
@@ -414,31 +392,18 @@ impl ArtifactStore {
                 return Err(GrainError::store(format!("cannot read {path:?}: {e}")));
             }
         };
-        let validated = (|| -> GrainResult<(usize, usize)> {
-            if raw.len() < MAGIC.len() + 8 {
-                return Err(GrainError::store(format!("{path:?} is truncated")));
-            }
-            let (data, sum_bytes) = raw.split_at(raw.len() - 8);
-            let mut dec = Dec::new((data, (0, data.len())));
+        let parsed = codec::unseal(&raw).and_then(|body| {
+            let mut dec = Dec::new(body);
             if dec.take(MAGIC.len())? != MAGIC {
-                return Err(GrainError::store(format!("{path:?} has bad magic")));
+                return Err("bad magic".to_string());
             }
             let version = dec.u32()?;
             if version != CODEC_VERSION {
-                return Err(GrainError::store(format!(
-                    "{path:?} has codec version {version}, expected {CODEC_VERSION}"
-                )));
+                return Err(format!("codec version {version}, expected {CODEC_VERSION}"));
             }
             let tag = dec.u32()?;
             if tag != kind.tag() {
-                return Err(GrainError::store(format!(
-                    "{path:?} carries artifact tag {tag}, expected {}",
-                    kind.tag()
-                )));
-            }
-            let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8-byte split"));
-            if checksum64(data) != stored {
-                return Err(GrainError::store(format!("{path:?} checksum mismatch")));
+                return Err(format!("artifact tag {tag}, expected {}", kind.tag()));
             }
             let graph_fp = dec.u64()?;
             let epoch = dec.u64()?;
@@ -447,28 +412,15 @@ impl ArtifactStore {
                 || epoch != addr.epoch
                 || fp != addr.artifact_fingerprint
             {
-                return Err(GrainError::store(format!(
-                    "{path:?} address mismatch (stored epoch {epoch}, requested {})",
+                return Err(format!(
+                    "address mismatch (stored epoch {epoch}, requested {})",
                     addr.epoch
-                )));
+                ));
             }
-            Ok((dec.pos(), data.len()))
-        })();
-        match validated {
-            Ok(span) => Ok(Some((raw, span))),
-            Err(e) => {
-                self.counters.corruptions.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    }
-
-    fn account_load<T>(
-        &self,
-        raw: &[u8],
-        kind: ArtifactKind,
-        parsed: GrainResult<T>,
-    ) -> GrainResult<Option<T>> {
+            let artifact = parse(&mut dec)?;
+            dec.finish()?;
+            Ok(artifact)
+        });
         match parsed {
             Ok(artifact) => {
                 self.counters.loads.fetch_add(1, Ordering::Relaxed);
@@ -477,14 +429,9 @@ impl ArtifactStore {
                     .fetch_add(raw.len(), Ordering::Relaxed);
                 Ok(Some(artifact))
             }
-            Err(e) => {
+            Err(message) => {
                 self.counters.corruptions.fetch_add(1, Ordering::Relaxed);
-                Err(match e {
-                    GrainError::StoreCorrupt { message } => {
-                        GrainError::store(format!("{} artifact: {message}", kind.ext()))
-                    }
-                    other => other,
-                })
+                Err(GrainError::store(format!("{path:?}: {message}")))
             }
         }
     }
@@ -526,69 +473,20 @@ fn validate_csr(
     nnz: usize,
     n: usize,
     what: &str,
-) -> GrainResult<()> {
+) -> DecResult<()> {
     if offsets.len() != n + 1 || offsets.first() != Some(&0) || offsets.last() != Some(&nnz) {
-        return Err(GrainError::store(format!("{what}: malformed offsets")));
+        return Err(format!("{what}: malformed offsets"));
     }
     if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(GrainError::store(format!("{what}: offsets not monotone")));
+        return Err(format!("{what}: offsets not monotone"));
     }
     if cols.iter().any(|&c| c as usize >= n) {
-        return Err(GrainError::store(format!("{what}: column id out of range")));
+        return Err(format!("{what}: column id out of range"));
     }
     Ok(())
 }
 
 // ---- fingerprints --------------------------------------------------------
-
-/// 64-bit FNV-1a over a byte string.
-pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
-/// Incremental 64-bit FNV-1a hasher (word-at-a-time over bulk slices).
-pub(crate) struct Fnv64(u64);
-
-impl Fnv64 {
-    pub(crate) fn new() -> Self {
-        Fnv64(0xcbf29ce484222325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.0 ^= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-        for &b in chunks.remainder() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    pub(crate) fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    pub(crate) fn write_f32(&mut self, v: f32) {
-        self.write_u32(v.to_bits());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        // Final avalanche so short inputs still spread across all bits.
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51afd7ed558ccd);
-        h ^= h >> 33;
-        h
-    }
-}
 
 /// Content hash of a corpus at registration: adjacency CSR (structure +
 /// weights) and the feature matrix, shape-prefixed so e.g. a transposed
@@ -627,223 +525,6 @@ pub(crate) fn mix_fingerprint(old: u64, delta_hash: u64) -> u64 {
     h.write_u64(old);
     h.write_u64(delta_hash);
     h.finish()
-}
-
-/// Whole-file checksum: FNV-1a over u64 words with the length folded in,
-/// so truncation to a word boundary still changes the sum.
-fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(bytes.len() as u64);
-    h.write(bytes);
-    h.finish()
-}
-
-// ---- flat little-endian codec -------------------------------------------
-
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    /// Bulk `&[f32]` append: one memcpy on little-endian targets,
-    /// element-wise `to_le_bytes` elsewhere (same bytes either way).
-    fn f32_slice(&mut self, v: &[f32]) {
-        #[cfg(target_endian = "little")]
-        {
-            // Safety: f32 has no padding and any alignment satisfies u8.
-            let bytes = unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), v.len() * 4) };
-            self.buf.extend_from_slice(bytes);
-        }
-        #[cfg(not(target_endian = "little"))]
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Bulk `&[u32]` append (see [`Enc::f32_slice`]).
-    fn u32_slice(&mut self, v: &[u32]) {
-        #[cfg(target_endian = "little")]
-        {
-            // Safety: u32 has no padding and any alignment satisfies u8.
-            let bytes = unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), v.len() * 4) };
-            self.buf.extend_from_slice(bytes);
-        }
-        #[cfg(not(target_endian = "little"))]
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// `&[usize]` serialized as u64 LE — on-disk offsets are 64-bit
-    /// regardless of the host word size.
-    fn usize_slice(&mut self, v: &[usize]) {
-        #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
-        {
-            // Safety: usize == u64 here, no padding, u8 alignment.
-            let bytes = unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), v.len() * 8) };
-            self.buf.extend_from_slice(bytes);
-        }
-        #[cfg(not(all(target_endian = "little", target_pointer_width = "64")))]
-        for &x in v {
-            self.buf.extend_from_slice(&(x as u64).to_le_bytes());
-        }
-    }
-}
-
-/// Bounds-checked reader over a file's body span. Every overrun is a
-/// typed [`GrainError::StoreCorrupt`] (truncation detection), and
-/// [`Dec::finish`] rejects trailing garbage (exact-length contract).
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    end: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new((buf, (start, end)): (&'a [u8], (usize, usize))) -> Self {
-        Dec {
-            buf,
-            pos: start,
-            end,
-        }
-    }
-
-    fn pos(&self) -> usize {
-        self.pos
-    }
-
-    fn take(&mut self, n: usize) -> GrainResult<&'a [u8]> {
-        if n > self.end - self.pos {
-            return Err(GrainError::store(format!(
-                "truncated: needed {n} bytes, {} left",
-                self.end - self.pos
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> GrainResult<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> GrainResult<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f32(&mut self) -> GrainResult<f32> {
-        Ok(f32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// A u64 dimension that must fit the host `usize`.
-    fn dim(&mut self, what: &str) -> GrainResult<usize> {
-        usize::try_from(self.u64()?)
-            .map_err(|_| GrainError::store(format!("{what} dimension exceeds host usize")))
-    }
-
-    fn str(&mut self) -> GrainResult<String> {
-        let len = self.dim("string length")?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| GrainError::store("non-UTF-8 fingerprint string".to_string()))
-    }
-
-    fn finish(&mut self) -> GrainResult<()> {
-        if self.pos != self.end {
-            return Err(GrainError::store(format!(
-                "{} trailing bytes after payload",
-                self.end - self.pos
-            )));
-        }
-        Ok(())
-    }
-
-    /// Bulk `Vec<f32>` read: one memcpy on little-endian targets.
-    fn f32_vec(&mut self, n: usize) -> GrainResult<Vec<f32>> {
-        let bytes = self.take(n.checked_mul(4).ok_or_else(too_large)?)?;
-        #[cfg(target_endian = "little")]
-        {
-            let mut out = Vec::<f32>::with_capacity(n);
-            // Safety: source has exactly n*4 bytes; dest capacity is n
-            // f32s; byte copy then set_len — alignment of the Vec's own
-            // allocation is correct for f32.
-            unsafe {
-                std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), n * 4);
-                out.set_len(n);
-            }
-            Ok(out)
-        }
-        #[cfg(not(target_endian = "little"))]
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// Bulk `Vec<u32>` read (see [`Dec::f32_vec`]).
-    fn u32_vec(&mut self, n: usize) -> GrainResult<Vec<u32>> {
-        let bytes = self.take(n.checked_mul(4).ok_or_else(too_large)?)?;
-        #[cfg(target_endian = "little")]
-        {
-            let mut out = Vec::<u32>::with_capacity(n);
-            // Safety: see `f32_vec`.
-            unsafe {
-                std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), n * 4);
-                out.set_len(n);
-            }
-            Ok(out)
-        }
-        #[cfg(not(target_endian = "little"))]
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// On-disk u64 offsets back into host `usize`, overflow-checked.
-    fn usize_vec(&mut self, n: usize) -> GrainResult<Vec<usize>> {
-        let bytes = self.take(n.checked_mul(8).ok_or_else(too_large)?)?;
-        bytes
-            .chunks_exact(8)
-            .map(|c| {
-                usize::try_from(u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .map_err(|_| GrainError::store("offset exceeds host usize".to_string()))
-            })
-            .collect()
-    }
-}
-
-fn too_large() -> GrainError {
-    GrainError::store("payload length overflows".to_string())
 }
 
 // ---- scratch dirs for tests/benches -------------------------------------
@@ -898,6 +579,13 @@ mod tests {
             artifact_fingerprint: "rw:k=2|eps:00000000|theta:rel:3e800000|r:3dcccccd|topk:0"
                 .to_string(),
         }
+    }
+
+    /// Rewrites a file's trailing checksum so only a deliberate poke trips.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let sum = codec::checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
     }
 
     fn sample_rows() -> InfluenceRows {
@@ -998,17 +686,82 @@ mod tests {
         // Wrong codec version (re-checksummed so only the version trips).
         let mut bad = pristine.clone();
         bad[8] = 0xfe;
-        let sum = checksum64(&bad[..bad.len() - 8]).to_le_bytes();
-        let len = bad.len();
-        bad[len - 8..].copy_from_slice(&sum);
+        reseal(&mut bad);
         fs::write(&path, &bad).unwrap();
         let err = store.load_rows(&addr(0)).unwrap_err();
         assert!(err.to_string().contains("codec version"), "{err}");
-        assert_eq!(store.stats().corruptions, 4);
+        // A node count of u64::MAX (re-checksummed): `n + 1` overflows.
+        let mut bad = pristine.clone();
+        let nodes_at = 8 + 4 + 4 + 8 + 8 + 4 + addr(0).artifact_fingerprint.len();
+        assert_eq!(
+            bad[nodes_at..nodes_at + 8],
+            (rows.num_nodes() as u64).to_le_bytes()
+        );
+        bad[nodes_at..nodes_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        reseal(&mut bad);
+        fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            store.load_rows(&addr(0)),
+            Err(GrainError::StoreCorrupt { .. })
+        ));
+        assert_eq!(store.stats().corruptions, 5);
 
         // The pristine bytes still load: corruption state is per-file.
         fs::write(&path, &pristine).unwrap();
         assert!(store.load_rows(&addr(0)).unwrap().is_some());
+    }
+
+    /// The version-1 layout: this layout with a `u64` fingerprint length.
+    fn downgrade_to_version_one(v2: &[u8]) -> Vec<u8> {
+        let len_at = 8 + 4 + 4 + 8 + 8;
+        let mut v1 = v2[..v2.len() - 8].to_vec();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        v1.splice(len_at + 4..len_at + 4, [0u8; 4]);
+        v1.extend_from_slice(&[0; 8]);
+        reseal(&mut v1);
+        v1
+    }
+
+    #[test]
+    fn version_one_files_cold_build_and_are_repersisted() {
+        use crate::config::GrainConfig;
+        use crate::service::{Budget, GrainService, SelectionRequest};
+        let scratch = ScratchDir::new("store-v1");
+        let g = generators::erdos_renyi_gnm(60, 180, 3);
+        let x = DenseMatrix::from_vec(60, 4, (0..240).map(|i| (i % 7) as f32).collect());
+        let request = SelectionRequest::new("g", GrainConfig::ball_d(), Budget::Fixed(5));
+        let open = || {
+            let service = GrainService::new()
+                .with_artifact_store(scratch.path())
+                .unwrap();
+            service.register_graph("g", g.clone(), x.clone()).unwrap();
+            service
+        };
+        let cold = open().select(&request).unwrap();
+        let files: Vec<_> = fs::read_dir(scratch.path())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 3);
+        for path in &files {
+            fs::write(path, downgrade_to_version_one(&fs::read(path).unwrap())).unwrap();
+        }
+        let store = ArtifactStore::open(scratch.path()).unwrap();
+        let addr = ContentAddress {
+            graph_fingerprint: fingerprint_corpus(&g, &x),
+            epoch: 0,
+            artifact_fingerprint: GrainConfig::ball_d().artifact_fingerprint(),
+        };
+        let err = store.load_rows(&addr).unwrap_err();
+        assert!(err.to_string().contains("codec version 1"), "{err}");
+
+        let service = open();
+        let rebuilt = service.select(&request).unwrap();
+        assert!(rebuilt.artifact_builds.propagation_builds > 0);
+        assert_eq!(rebuilt.outcome().selected, cold.outcome().selected);
+        let stats = service.store_stats().unwrap();
+        assert_eq!((stats.corruptions, stats.saves), (3, 3), "{stats:?}");
+        assert!(store.load_rows(&addr).unwrap().is_some(), "re-persisted");
     }
 
     #[test]
@@ -1057,6 +810,24 @@ mod tests {
             mix_fingerprint(mix_fingerprint(f1, 7), 8),
             mix_fingerprint(mix_fingerprint(f1, 8), 7)
         );
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Fingerprints name store files and key their headers: changing a
+        // value here orphans every persisted artifact, so it requires
+        // bumping `CODEC_VERSION`.
+        let g = Graph::from_weighted_edges(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)]);
+        let x = DenseMatrix::from_vec(4, 2, vec![0.0, 1.0, -0.0, 0.5, 2.5, -1.0, 3.0, 0.25]);
+        let root = fingerprint_corpus(&g, &x);
+        assert_eq!(root, 0xde45_d02d_5573_b066);
+        assert_eq!(
+            mix_fingerprint(root, 0x6fc8_d4ca_d0b7_136c),
+            0xaa19_86b2_7e3b_60da
+        );
+        let mut name = Fnv64::new();
+        name.write(b"rw:k=2|eps:00000000");
+        assert_eq!(name.finish(), 0x2fcb_dac7_f327_468a);
     }
 
     #[test]

@@ -527,7 +527,7 @@ fn validate_feature_row(v: usize, row: &[f32]) -> GrainResult<()> {
 /// lineage fingerprint by [`crate::store::mix_fingerprint`]. Length
 /// prefixes keep distinct edit lists from colliding by concatenation.
 fn delta_hash(delta: &GraphDelta) -> u64 {
-    let mut h = crate::store::Fnv64::new();
+    let mut h = crate::codec::Fnv64::new();
     h.write_u64(delta.inserts.len() as u64);
     for &(u, v, w) in &delta.inserts {
         h.write_u32(u);
@@ -580,6 +580,17 @@ mod tests {
         );
         assert!(!d.is_empty());
         assert!(GraphDelta::new().is_empty());
+    }
+
+    #[test]
+    fn delta_hash_is_pinned() {
+        // Folded into lineage fingerprints that name store files: changing
+        // this value requires bumping `store::CODEC_VERSION`.
+        let d = GraphDelta::new()
+            .insert_weighted(0, 3, 0.75)
+            .delete_edge(1, 2)
+            .set_features(2, vec![1.0, -2.0]);
+        assert_eq!(delta_hash(&d), 0x6fc8_d4ca_d0b7_136c);
     }
 
     #[test]

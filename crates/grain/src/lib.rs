@@ -77,25 +77,6 @@
 //! # Ok::<(), GrainError>(())
 //! ```
 //!
-//! ## Migrating from `GrainSelector::select`
-//!
-//! The pre-service one-shot API, `GrainSelector::select(&graph,
-//! &features, &candidates, budget)` (and its `activation_index`
-//! sibling), spent its one deprecation release as a bit-identical shim
-//! and is now **removed**. Replace it with either
-//!
-//! * a [`SelectionRequest`](core::service::SelectionRequest) to a
-//!   [`GrainService`](core::service::GrainService) (pooling, typed
-//!   [`GrainError`](core::error::GrainError)s, cache observability,
-//!   concurrency), or
-//! * a [`SelectionEngine`](core::engine::SelectionEngine) held directly
-//!   when you manage exactly one corpus/config yourself
-//!   ([`SelectionEngine::activation_index`](core::engine::SelectionEngine::activation_index)
-//!   covers the removed index shim).
-//!
-//! [`GrainSelector`](core::selector::GrainSelector) itself remains as a
-//! validated-config facade over the engine constructor.
-//!
 //! ## Crate map
 //!
 //! | module | contents |
@@ -123,11 +104,10 @@ pub mod prelude {
     pub use grain_core::{
         ArtifactStore, Budget, CancelCause, CancelToken, Completion, ContentAddress, DeadlineStage,
         DiversityKind, EdgeClient, EdgeConfig, EdgeServer, EdgeStats, EngineCheckout, EngineStats,
-        EpochReport, GrainConfig, GrainError, GrainResult, GrainSelector, GrainService,
-        GrainVariant, GraphDelta, GreedyAlgorithm, OnDeadline, PoolEvent, PoolStats, PruneStrategy,
-        ScheduledRequest, Scheduler, SchedulerConfig, SchedulerStats, ScratchDir, SelectionEngine,
-        SelectionOutcome, SelectionReport, SelectionRequest, StoreStats, TenantSpec, Ticket,
-        TokenBucket,
+        EpochReport, GrainConfig, GrainError, GrainResult, GrainService, GrainVariant, GraphDelta,
+        GreedyAlgorithm, OnDeadline, PoolEvent, PoolStats, PruneStrategy, ScheduledRequest,
+        Scheduler, SchedulerConfig, SchedulerStats, ScratchDir, SelectionEngine, SelectionOutcome,
+        SelectionReport, SelectionRequest, StoreStats, TenantSpec, Ticket, TokenBucket,
     };
     pub use grain_data::{Dataset, Split};
     pub use grain_gnn::{Model, TrainConfig, TrainReport};

@@ -200,18 +200,6 @@ fn gamma_algorithm_and_variant_changes_rebuild_nothing() {
     assert_eq!(after.selections, before.selections + 2);
 }
 
-#[test]
-fn selector_facade_engine_constructor_round_trips() {
-    let ds = corpus();
-    let selector = GrainSelector::ball_d();
-    let mut engine = selector.engine(&ds.graph, &ds.features).unwrap();
-    let warm = engine.select(&ds.split.train, 12);
-    // The facade constructor must be a pure pass-through to the engine.
-    let fresh = one_shot(*selector.config(), &ds, 12);
-    assert_eq!(warm.selected, fresh.selected);
-    assert_eq!(engine.config(), selector.config());
-}
-
 // ---------------------------------------------------------------------------
 // EnginePool contract: the engine guarantees above must survive pooling.
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ fn prelude_covers_the_quickstart_surface() {
     // Construct every major public type through the prelude only.
     let config = GrainConfig::ball_d();
     assert!(config.validate().is_ok());
-    let _selector = GrainSelector::new(config).unwrap();
     let _kernel = Kernel::Ppr { k: 2, alpha: 0.1 };
     let _rule = ThetaRule::RelativeToRowMax(0.25);
     let _model = ModelKind::default();
