@@ -217,7 +217,7 @@ impl GrainConfig {
     /// (`gamma`, `algorithm`, `prune`, `variant`) only steer the greedy
     /// stage and ride along via [`crate::SelectionEngine::set_config`],
     /// and `parallelism` only changes how many workers build an artifact,
-    /// never its bits. The [`crate::service::EnginePool`] keys engines by
+    /// never its bits. The [`crate::pool::EnginePool`] keys engines by
     /// this fingerprint.
     ///
     /// `f32` parameters enter by bit pattern, consistent with the engine's

@@ -28,8 +28,9 @@ use crate::cancel::{CancelCause, OnDeadline};
 use crate::codec::{self, Dec, DecResult, Enc};
 use crate::config::{DiversityKind, GrainConfig, GrainVariant, GreedyAlgorithm, PruneStrategy};
 use crate::error::{DeadlineStage, GrainError};
+use crate::pool::PoolEvent;
 use crate::selector::{Completion, SelectionOutcome};
-use crate::service::{Budget, PoolEvent, SelectionReport, SelectionRequest};
+use crate::service::{Budget, SelectionReport, SelectionRequest};
 use grain_influence::index::ThetaRule;
 use grain_prop::Kernel;
 use std::io::{Read, Write};

@@ -48,6 +48,7 @@ use crate::greedy::{lazy_greedy, plain_greedy, replay, GreedyTrace};
 use crate::objective::{DimObjective, DiversityScope};
 use crate::prune::prune_candidates;
 use crate::selector::{Completion, SelectionOutcome, SelectionTimings};
+use crate::store::{ArtifactStore, ContentAddress, PendingArtifact};
 use grain_graph::{transition_matrix, transition_rows, CsrMatrix, Graph, TransitionKind};
 use grain_influence::walk::kernel_power_weights;
 use grain_influence::{ActivationIndex, InfluenceRows, ThetaRule};
@@ -255,6 +256,13 @@ impl EngineStats {
 /// parameters are compared by bit pattern via [`grain_prop::Kernel::cache_key`].
 type KernelKey = String;
 
+/// Cache key of the influence rows: (kernel, `influence_eps` bits,
+/// `influence_row_top_k`).
+type RowsKey = (KernelKey, u32, usize);
+
+/// Cache key of the activation index: the rows key plus `theta`.
+type IndexKey = (KernelKey, u32, usize, ThetaRule);
+
 /// Exact resident heap bytes of each cached artifact class — the memory
 /// ledger behind [`SelectionEngine::artifact_bytes`]. All counts are
 /// *current* residency: an artifact not (yet) built counts zero. The flat
@@ -305,7 +313,7 @@ type BallCache = Option<((KernelKey, u32), (Arc<Vec<Vec<u32>>>, usize))>;
 /// not invalidate.
 ///
 /// The engine owns its corpus through [`Arc`] handles, so it can live in a
-/// long-lived pool (see [`crate::service::EnginePool`]) and share the
+/// long-lived pool (see [`crate::pool::EnginePool`]) and share the
 /// underlying graph/features with other engines and with baseline
 /// selectors at zero copy cost.
 pub struct SelectionEngine {
@@ -315,8 +323,8 @@ pub struct SelectionEngine {
     propagation: PropagationCache,
     transition: Option<(TransitionKind, CsrMatrix)>,
     embedding: Option<(KernelKey, Arc<DenseMatrix>)>,
-    rows: Option<((KernelKey, u32, usize), InfluenceRows)>,
-    index: Option<((KernelKey, u32, usize, ThetaRule), ActivationIndex)>,
+    rows: Option<(RowsKey, InfluenceRows)>,
+    index: Option<(IndexKey, ActivationIndex)>,
     balls: BallCache,
     nn_dmax: Option<(KernelKey, f32)>,
     traces: TraceCache,
@@ -423,102 +431,130 @@ impl SelectionEngine {
         self.propagation.get_cached(kernel)
     }
 
-    // ---- artifact-store adoption / extraction ---------------------------
+    // ---- artifact store seam ---------------------------------------------
     //
-    // The load path of `crate::store`: a deserialized artifact is adopted
-    // into the stage cache under the exact key `ensure_*` would have built
-    // it with, so the next select reads it as warm — and, critically,
-    // bumps **no** build counter (adoption is not a build; the
-    // save-on-build hook keys off those counters to avoid re-persisting
-    // what was just loaded). Every adopter is shape-defensive and returns
-    // `false` instead of panicking on a mismatched artifact, which the
-    // service treats like a miss (cold build proceeds).
+    // The only two places that talk to `crate::store`. Both address the
+    // store by this engine's *own* active config, so what is saved or
+    // loaded can never disagree with what the engine holds, whichever
+    // pool key the engine sits under. Adoption is not a build: it bumps
+    // no build counter, which is what keeps `encode_built` from
+    // re-persisting what was just loaded.
 
-    /// Adopts a store-loaded `X^(k)` + power ladder for the active kernel.
-    pub(crate) fn adopt_propagation(
+    /// The influence-row cache key of the active config.
+    fn rows_key(&self) -> RowsKey {
+        (
+            self.config.kernel.cache_key(),
+            self.config.influence_eps.to_bits(),
+            self.config.influence_row_top_k,
+        )
+    }
+
+    /// The activation-index cache key of the active config.
+    fn index_key(&self) -> IndexKey {
+        let (kernel, eps, top_k) = self.rows_key();
+        (kernel, eps, top_k, self.config.theta)
+    }
+
+    /// The store address of the active config's artifacts over the corpus
+    /// snapshot `(graph_fingerprint, epoch)`.
+    fn address(&self, graph_fingerprint: u64, epoch: u64) -> ContentAddress {
+        ContentAddress {
+            graph_fingerprint,
+            epoch,
+            artifact_fingerprint: self.config.artifact_fingerprint(),
+        }
+    }
+
+    /// Fills the stage caches of a fresh engine for its active config, in
+    /// cost order: `sibling` (another resident engine's `X^(k)` for the
+    /// active kernel) beats the store's `X^(k)`; the store supplies the
+    /// influence rows and the activation index. Every load is
+    /// best-effort: a miss, a corrupt file (counted in `StoreStats`) or a
+    /// shape mismatch leaves that stage to its cold build, and a
+    /// validated hit is adopted bit-identically.
+    pub(crate) fn adopt(
         &mut self,
-        value: Arc<DenseMatrix>,
-        ladder: Vec<Arc<DenseMatrix>>,
-    ) -> bool {
-        if value.rows() != self.graph.num_nodes() || value.cols() != self.features.cols() {
-            return false;
+        sibling: Option<Arc<DenseMatrix>>,
+        store: Option<&ArtifactStore>,
+        graph_fingerprint: u64,
+        epoch: u64,
+    ) {
+        if let Some(value) = sibling {
+            self.seed_propagated(value);
         }
-        self.propagation
-            .seed_with_ladder(self.config.kernel, value, ladder);
-        true
+        let Some(store) = store else {
+            return;
+        };
+        let addr = self.address(graph_fingerprint, epoch);
+        let (n, k) = (self.graph.num_nodes(), self.config.kernel.steps());
+        if !self.propagation.contains(self.config.kernel) {
+            if let Ok(Some((value, ladder))) = store.load_propagation(&addr) {
+                if value.rows() == n && value.cols() == self.features.cols() {
+                    let ladder = ladder.into_iter().map(Arc::new).collect();
+                    self.propagation
+                        .seed_with_ladder(self.config.kernel, Arc::new(value), ladder);
+                }
+            }
+        }
+        if let Ok(Some(rows)) = store.load_rows(&addr) {
+            if rows.num_nodes() == n && rows.k() == k {
+                self.rows = Some((self.rows_key(), rows));
+            }
+        }
+        if let Ok(Some(index)) = store.load_index(&addr) {
+            if index.num_nodes() == n && index.k() == k {
+                self.index = Some((self.index_key(), index));
+            }
+        }
     }
 
-    /// Adopts store-loaded influence rows under the active
-    /// (kernel, eps, top-k) cache key.
-    pub(crate) fn adopt_rows(&mut self, rows: InfluenceRows) -> bool {
-        if rows.num_nodes() != self.graph.num_nodes() || rows.k() != self.config.kernel.steps() {
-            return false;
-        }
-        let key = (
-            self.config.kernel.cache_key(),
-            self.config.influence_eps.to_bits(),
-            self.config.influence_row_top_k,
-        );
-        self.rows = Some((key, rows));
-        true
-    }
-
-    /// Adopts a store-loaded activation index under the active
-    /// (kernel, eps, top-k, theta) cache key.
-    pub(crate) fn adopt_index(&mut self, index: ActivationIndex) -> bool {
-        if index.num_nodes() != self.graph.num_nodes() || index.k() != self.config.kernel.steps() {
-            return false;
-        }
-        let key = (
-            self.config.kernel.cache_key(),
-            self.config.influence_eps.to_bits(),
-            self.config.influence_row_top_k,
-            self.config.theta,
-        );
-        self.index = Some((key, index));
-        true
-    }
-
-    /// The cached `X^(k)` + ladder for the active kernel — the save side
-    /// of the store hooks. `None` until propagation has built.
-    pub(crate) fn persistable_propagation(
+    /// Encodes for `store` each active-config stage that `built` counts as
+    /// (re)built — a request's or a patch's build-counter delta. Only
+    /// encodes: the caller commits the result after releasing the engine.
+    pub(crate) fn encode_built(
         &self,
-    ) -> Option<(Arc<DenseMatrix>, Vec<Arc<DenseMatrix>>)> {
-        let value = self.propagation.get_cached(self.config.kernel)?;
-        Some((value, self.propagation.cached_ladder(self.config.kernel)))
-    }
-
-    /// The cached influence rows iff their key matches the active config.
-    pub(crate) fn persistable_rows(&self) -> Option<&InfluenceRows> {
-        let key = (
-            self.config.kernel.cache_key(),
-            self.config.influence_eps.to_bits(),
-            self.config.influence_row_top_k,
-        );
-        self.rows
-            .as_ref()
-            .filter(|(k, _)| *k == key)
-            .map(|(_, r)| r)
-    }
-
-    /// The cached activation index iff its key matches the active config.
-    pub(crate) fn persistable_index(&self) -> Option<&ActivationIndex> {
-        let key = (
-            self.config.kernel.cache_key(),
-            self.config.influence_eps.to_bits(),
-            self.config.influence_row_top_k,
-            self.config.theta,
-        );
-        self.index
-            .as_ref()
-            .filter(|(k, _)| *k == key)
-            .map(|(_, i)| i)
+        built: &EngineStats,
+        store: &ArtifactStore,
+        graph_fingerprint: u64,
+        epoch: u64,
+    ) -> Vec<PendingArtifact> {
+        let mut pending = Vec::new();
+        if built.propagation_builds + built.influence_builds + built.index_builds == 0 {
+            return pending;
+        }
+        let addr = self.address(graph_fingerprint, epoch);
+        let kernel = self.config.kernel;
+        if built.propagation_builds > 0 {
+            if let Some(value) = self.propagation.get_cached(kernel) {
+                let ladder = self.propagation.cached_ladder(kernel);
+                let levels: Vec<&DenseMatrix> = ladder.iter().map(Arc::as_ref).collect();
+                pending.push(store.encode_propagation(&addr, &value, &levels));
+            }
+        }
+        if built.influence_builds > 0 {
+            if let Some((_, rows)) = self.rows.as_ref().filter(|(k, _)| *k == self.rows_key()) {
+                pending.push(store.encode_rows(&addr, rows));
+            }
+        }
+        if built.index_builds > 0 {
+            if let Some((_, index)) = self.index.as_ref().filter(|(k, _)| *k == self.index_key()) {
+                pending.push(store.encode_index(&addr, index));
+            }
+        }
+        pending
     }
 
     /// Swaps the configuration, keeping every cached artifact whose key
     /// fields are unchanged. Artifacts are rebuilt lazily on the next
     /// `select`, so sweeping e.g. `gamma` or `budget` rebuilds nothing and
     /// sweeping `theta` rebuilds only the activation index.
+    ///
+    /// On a pooled engine (held through an
+    /// [`EngineCheckout`](crate::pool::EngineCheckout)) a change of
+    /// artifact fingerprint re-keys nothing: the engine stays under the
+    /// pool key it was checked out with, and the next request for that
+    /// key sets its own config back, rebuilding the differing stages
+    /// once. That is never a wrong answer or a wrong store address.
     pub fn set_config(&mut self, config: GrainConfig) -> GrainResult<()> {
         config.validate()?;
         self.config = config;
@@ -976,16 +1012,12 @@ impl SelectionEngine {
                     grain_linalg::ops::l2_normalize_row(row);
                 }
                 timings.embedding = stage.elapsed();
-                embedding = Some((kernel_key.clone(), Arc::new(e)));
+                embedding = Some((kernel_key, Arc::new(e)));
                 stats.embedding_builds += 1;
             }
         }
 
-        let rows_key = (
-            kernel_key.clone(),
-            config.influence_eps.to_bits(),
-            config.influence_row_top_k,
-        );
+        let rows_key = self.rows_key();
         let mut rows = None;
         if let Some((key, old_rows)) = self.rows.as_ref() {
             if *key == rows_key {
@@ -1003,12 +1035,7 @@ impl SelectionEngine {
             }
         }
 
-        let index_key = (
-            kernel_key,
-            config.influence_eps.to_bits(),
-            config.influence_row_top_k,
-            config.theta,
-        );
+        let index_key = self.index_key();
         let mut index = None;
         if let (Some((key, old_index)), Some((_, new_rows))) = (self.index.as_ref(), rows.as_ref())
         {
@@ -1091,11 +1118,7 @@ impl SelectionEngine {
     /// rows inside the parallel build. A cancelled build discards its
     /// partial rows wholesale and caches nothing.
     fn ensure_rows(&mut self, cancel: &CancelToken) -> GrainResult<()> {
-        let key = (
-            self.config.kernel.cache_key(),
-            self.config.influence_eps.to_bits(),
-            self.config.influence_row_top_k,
-        );
+        let key = self.rows_key();
         if self.rows.as_ref().map(|(k, _)| k) == Some(&key) {
             return Ok(());
         }
@@ -1123,12 +1146,7 @@ impl SelectionEngine {
     /// not interruptible (it is the cheapest artifact); `cancel` is checked
     /// once at the stage boundary before committing to the build.
     fn ensure_index(&mut self, cancel: &CancelToken) -> GrainResult<()> {
-        let key = (
-            self.config.kernel.cache_key(),
-            self.config.influence_eps.to_bits(),
-            self.config.influence_row_top_k,
-            self.config.theta,
-        );
+        let key = self.index_key();
         if self.index.as_ref().map(|(k, _)| k) == Some(&key) {
             return Ok(());
         }

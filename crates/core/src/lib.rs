@@ -28,7 +28,7 @@
 //! The public front door is [`service::GrainService`]: register graphs
 //! once, then answer typed [`service::SelectionRequest`]s (fixed,
 //! fractional, or sweep [`service::Budget`]s) from a **sharded, `&self`**
-//! [`service::EnginePool`] of warm engines — the service is
+//! [`pool::EnginePool`] of warm engines — the service is
 //! `Send + Sync`, cold builds are deduplicated by per-key latches,
 //! batches fan out across shards via [`service::GrainService::submit_batch`],
 //! and every failure is a [`error::GrainError`].
@@ -73,6 +73,7 @@ pub mod error;
 pub mod fault;
 pub mod greedy;
 pub mod objective;
+pub mod pool;
 pub mod prune;
 pub mod scheduler;
 pub mod selector;
@@ -86,14 +87,12 @@ pub use edge::{EdgeClient, EdgeConfig, EdgeServer, EdgeStats, TenantSpec, TokenB
 pub use engine::{ArtifactBytes, EngineStats, PatchTimings, SelectionEngine, TraceStats};
 pub use error::{DeadlineStage, GrainError, GrainResult};
 pub use objective::DimObjective;
+pub use pool::{EngineCheckout, EnginePool, PoolEvent, PoolStats};
 pub use scheduler::{
     CancelHandle, FairShare, ScheduledRequest, Scheduler, SchedulerConfig, SchedulerStats,
     TenantStats, Ticket,
 };
 pub use selector::{Completion, SelectionOutcome};
-pub use service::{
-    Budget, EngineCheckout, EnginePool, GrainService, PoolEvent, PoolStats, SelectionReport,
-    SelectionRequest,
-};
+pub use service::{Budget, GrainService, SelectionReport, SelectionRequest};
 pub use store::{ArtifactStore, ContentAddress, ScratchDir, StoreStats};
 pub use streaming::{DirtySets, EpochReport, GraphDelta, PatchSummary};

@@ -154,7 +154,8 @@ pub use tenant::TenantStats;
 use crate::cancel::{CancelToken, OnDeadline};
 use crate::error::{DeadlineStage, GrainError, GrainResult};
 use crate::fault;
-use crate::service::{GrainService, PoolEvent, SelectionReport, SelectionRequest};
+use crate::pool::PoolEvent;
+use crate::service::{GrainService, SelectionReport, SelectionRequest};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, TryRecvError};
 use grain_linalg::par;
 use queue::{Admission, DispatchQueue, Waiter, WaiterHandle};

@@ -44,14 +44,16 @@
 //! artifact a request might be reading: patched engines are inserted
 //! under epoch `e+1` keys, the corpus pointer is swapped, and in-flight
 //! requests holding epoch-`e` checkouts finish on their consistent
-//! snapshot. Stale epochs age out through ordinary LRU eviction. The
-//! scheduler stamps the submit-time epoch into its coalescing key, so
-//! selections racing an update coalesce only within one corpus version
-//! and re-submissions after the flip run (and re-key) on `e+1`.
+//! snapshot. The flip reclaims every epoch-`e` engine from the pool and
+//! removes epoch `e`'s store files. The scheduler stamps the submit-time
+//! epoch into its coalescing key, so selections racing an update
+//! coalesce only within one corpus version and re-submissions after the
+//! flip run (and re-key) on `e+1`.
 
-use crate::engine::{PatchTimings, SelectionEngine};
+use crate::engine::PatchTimings;
 use crate::error::{GrainError, GrainResult};
-use crate::service::{GrainService, PoolKey};
+use crate::pool::PoolKey;
+use crate::service::GrainService;
 use grain_graph::{apply_edge_edits, check_weight, k_hop_ball, Graph, TransitionKind};
 use grain_linalg::DenseMatrix;
 use std::collections::HashMap;
@@ -267,7 +269,8 @@ pub struct EpochReport {
     /// Engines patched into the new epoch (one entry each).
     pub patched: Vec<PatchSummary>,
     /// Resident engines skipped because another request held their lock;
-    /// they stay on the old epoch and age out via LRU eviction.
+    /// the flip reclaims them with the rest of the old epoch, and the
+    /// next request rebuilds them over the new corpus.
     pub engines_skipped_busy: usize,
     /// Triangle-induced engines skipped (a single edge edit can dirty
     /// every triangle count, so they rebuild cold on next use).
@@ -373,7 +376,7 @@ impl GrainService {
             let Some(slot) = self.pool.get_slot(&key) else {
                 continue; // evicted since the snapshot
             };
-            let migrated: Option<(SelectionEngine, PatchTimings, usize, usize)> = {
+            let migrated = {
                 let engine = match slot.engine.try_lock() {
                     Ok(engine) => engine,
                     Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
@@ -398,48 +401,43 @@ impl GrainService {
                         &dirty.propagation,
                         &dirty.influence,
                     );
+                    let built = next.stats().delta_since(&engine.stats());
                     Some((
                         next,
+                        built,
                         timings,
                         dirty.propagation.len(),
                         dirty.influence.len(),
                     ))
                 }
             };
-            if let Some((next, timings, dirty_propagation, dirty_influence)) = migrated {
-                // Re-persist the patched artifacts under the new epoch's
-                // content address: patched ≡ cold-over-mutated-graph
-                // byte-for-byte, so the store stays warm across the
-                // epoch flip. Encoded here (we own `next`), written
-                // after the corpus pointer flips.
+            if let Some((next, built, timings, dirty_propagation, dirty_influence)) = migrated {
+                // The patched engine is re-keyed by its own active config,
+                // which may differ from the key it sat under (a checkout
+                // can re-key an engine through `set_config`). Its patched
+                // artifacts are re-persisted under the new epoch's address
+                // — patched ≡ cold-over-mutated-graph byte-for-byte, so
+                // the store stays warm across the flip. Encoded here (we
+                // own `next`), written after the corpus pointer flips.
+                let fingerprint = next.config().artifact_fingerprint();
                 if let Some(store) = &self.store {
-                    let addr = crate::store::ContentAddress {
-                        graph_fingerprint: new_fingerprint,
-                        epoch: from_epoch + 1,
-                        artifact_fingerprint: key.fingerprint.clone(),
-                    };
-                    if let Some((value, ladder)) = next.persistable_propagation() {
-                        let levels: Vec<&grain_linalg::DenseMatrix> =
-                            ladder.iter().map(Arc::as_ref).collect();
-                        pending.push(store.encode_propagation(&addr, &value, &levels));
-                    }
-                    if let Some(rows) = next.persistable_rows() {
-                        pending.push(store.encode_rows(&addr, rows));
-                    }
-                    if let Some(index) = next.persistable_index() {
-                        pending.push(store.encode_index(&addr, index));
-                    }
+                    pending.extend(next.encode_built(
+                        &built,
+                        store,
+                        new_fingerprint,
+                        from_epoch + 1,
+                    ));
                 }
                 self.pool.insert_ready(
                     PoolKey {
-                        graph: key.graph.clone(),
+                        graph: key.graph,
                         epoch: from_epoch + 1,
-                        fingerprint: key.fingerprint.clone(),
+                        fingerprint: fingerprint.clone(),
                     },
                     next,
                 );
                 patched.push(PatchSummary {
-                    fingerprint: key.fingerprint,
+                    fingerprint,
                     dirty_propagation,
                     dirty_influence,
                     timings,
@@ -449,26 +447,10 @@ impl GrainService {
         let patch_time = t1.elapsed();
 
         // Flip the corpus pointer. New requests now observe epoch e+1
-        // and find the patched engines warm under their keys.
-        let retirement = {
-            let mut corpora = self.corpora.write().unwrap_or_else(PoisonError::into_inner);
-            let corpus = corpora
-                .get_mut(graph_id)
-                .ok_or_else(|| GrainError::UnknownGraph {
-                    graph: graph_id.to_string(),
-                })?;
-            corpus.retired.push((corpus.epoch, corpus.fingerprint));
-            corpus.graph = new_graph;
-            corpus.features = new_features;
-            corpus.epoch = from_epoch + 1;
-            corpus.fingerprint = new_fingerprint;
-            GrainService::trim_retention(corpus, self.retain_epochs)
-        };
-        // Retention and persistence run after the flip, off the corpora
-        // lock: stale-epoch engines are reclaimed from the pool, the
-        // dropped epochs' store files removed, and the patched epoch's
-        // artifacts written.
-        self.reclaim_retired(graph_id, retirement);
+        // and find the patched engines warm under their keys; the old
+        // epoch's engines and store files are reclaimed. The patched
+        // epoch's artifacts are written after the flip.
+        self.flip_epoch(graph_id, new_graph, new_features, new_fingerprint)?;
         if let Some(store) = &self.store {
             for artifact in pending {
                 let _ = store.commit(artifact);
@@ -614,16 +596,16 @@ mod tests {
         // The patched engine answers the post-update request warm: no
         // propagation or influence rebuild.
         let after = service.select(&request).unwrap();
-        assert_eq!(after.pool_event, crate::service::PoolEvent::Hit);
+        assert_eq!(after.pool_event, crate::pool::PoolEvent::Hit);
         assert_eq!(after.artifact_builds.propagation_builds, 0);
         assert_eq!(after.artifact_builds.influence_builds, 0);
     }
 
     #[test]
     fn apply_update_reclaims_stale_epoch_engines() {
-        // Default retention (1 epoch): the moment the corpus flips to
-        // e1, every engine still keyed to e0 is reclaimed from the pool
-        // — patched engines live on under their e1 keys.
+        // The moment the corpus flips to e1, every engine still keyed to
+        // e0 is reclaimed from the pool — patched engines live on under
+        // their e1 keys.
         let (g, x) = corpus(120, 17);
         let service = GrainService::with_capacity(8);
         service.register_graph("g", g, x).unwrap();
@@ -650,32 +632,6 @@ mod tests {
             .keys()
             .iter()
             .all(|(_, epoch, _)| *epoch == 1));
-    }
-
-    #[test]
-    fn retain_epochs_keeps_a_window_of_past_epochs() {
-        // retain_epochs(2): e0 engines survive the first update (a
-        // long-running e0 reader could still want them) and are
-        // reclaimed by the second.
-        let (g, x) = corpus(100, 18);
-        let service = GrainService::with_capacity(8).with_retain_epochs(2);
-        service.register_graph("g", g, x).unwrap();
-        let request = SelectionRequest::new("g", GrainConfig::ball_d(), Budget::Fixed(5));
-        service.select(&request).unwrap();
-        service
-            .apply_update("g", &GraphDelta::new().insert_edge(0, 50))
-            .unwrap();
-        assert_eq!(service.pool_stats().epoch_reclaims, 0);
-        assert_eq!(service.pool().len(), 2, "e0 and e1 both resident");
-        service
-            .apply_update("g", &GraphDelta::new().insert_edge(1, 51))
-            .unwrap();
-        assert_eq!(service.pool_stats().epoch_reclaims, 1, "e0 reclaimed");
-        let epochs: Vec<u64> = service.pool().keys().iter().map(|k| k.1).collect();
-        assert!(
-            epochs.iter().all(|&e| e >= 1),
-            "epochs resident: {epochs:?}"
-        );
     }
 
     #[test]

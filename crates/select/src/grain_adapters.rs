@@ -16,9 +16,10 @@ use grain_core::{GrainConfig, GrainResult, GrainVariant, SelectionEngine, Select
 /// outcome.
 ///
 /// The handed-down engine may be pooled under its config's artifact
-/// fingerprint (see [`grain_core::service::EnginePool`]); re-keying it to
-/// a different fingerprint would leave the pool indexing rebuilt artifacts
-/// under a stale key. An adapter whose config shares the engine's
+/// fingerprint (see [`grain_core::pool::EnginePool`]); re-keying it to
+/// a different fingerprint would replace the warm artifacts its pool key
+/// serves, and the next request for that key would rebuild them. An
+/// adapter whose config shares the engine's
 /// fingerprint runs through it (greedy-stage fields are safe to swap);
 /// one that does not runs on a private engine over the same corpus
 /// handles instead.

@@ -412,6 +412,59 @@ fn post_delta_epoch_never_loads_pre_delta_artifacts() {
     );
 }
 
+/// A checkout can re-key its engine through `set_config`. An update that
+/// patches the engine must persist its artifacts under the engine's own
+/// config, not under the pool key it sits in; otherwise a later request
+/// for the pool key's config loads the re-keyed engine's activation index
+/// from disk. Both variants must equal a store-less oracle: the checkout
+/// released before the update, and held across it.
+#[test]
+fn rekeyed_engine_persists_under_its_own_address_across_an_update() {
+    for hold in [false, true] {
+        let scratch = ScratchDir::new("rekey");
+        let (g, x) = corpus(160, 11);
+        let delta = GraphDelta::new().insert_edge(0, 120);
+        let ball_d = GrainConfig::ball_d();
+        let rekeyed = GrainConfig {
+            theta: ThetaRule::RelativeToRowMax(0.6),
+            ..ball_d
+        };
+        let request = SelectionRequest::new("g", ball_d, Budget::Fixed(8));
+
+        let service = GrainService::with_capacity(4)
+            .with_artifact_store(scratch.path())
+            .unwrap();
+        service.register_graph("g", g.clone(), x.clone()).unwrap();
+        let (checkout, _) = service.engine("g", &ball_d).unwrap();
+        {
+            let mut engine = checkout.lock();
+            engine.set_config(rekeyed).unwrap();
+            engine.select(&(0..160).collect::<Vec<u32>>(), 8);
+        }
+        // `then_some` drops the checkout right here when `hold` is false.
+        let held = hold.then_some(checkout);
+        service.apply_update("g", &delta).unwrap();
+        drop(held);
+        service.pool().clear();
+        let answered = service.select(&request).unwrap();
+
+        let oracle = GrainService::with_capacity(4);
+        oracle.register_graph("g", g, x).unwrap();
+        oracle.apply_update("g", &delta).unwrap();
+        let expected = oracle.select(&request).unwrap();
+        assert_eq!(
+            answered.outcome().selected,
+            expected.outcome().selected,
+            "checkout held across the update: {hold}"
+        );
+        assert_eq!(
+            answered.outcome().objective_trace,
+            expected.outcome().objective_trace,
+            "checkout held across the update: {hold}"
+        );
+    }
+}
+
 /// The scratch helper itself: tests never leak store directories.
 #[test]
 fn scratch_dirs_are_cleaned_up_on_drop() {
