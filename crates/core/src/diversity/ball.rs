@@ -8,7 +8,8 @@
 //! special case, as the paper notes).
 
 use super::DiversityFunction;
-use grain_linalg::{distance, Bitset, DenseMatrix};
+use grain_linalg::distance::{self, BallLists};
+use grain_linalg::{Bitset, DenseMatrix};
 use std::sync::Arc;
 
 /// Incremental ball-coverage diversity.
@@ -22,7 +23,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct BallDiversity {
     /// `balls[u]` = nodes within radius `r` of `u` (sorted, includes `u`).
-    balls: Arc<Vec<Vec<u32>>>,
+    balls: Arc<BallLists>,
     covered: Bitset,
     upper_bound: usize,
     /// Scratch for multi-ball batch gains: nodes already counted in the
@@ -42,14 +43,8 @@ impl BallDiversity {
         Self::from_shared(Arc::new(balls), embedding.rows())
     }
 
-    /// Builds from explicit ball membership lists (used by tests and by
-    /// callers that cache the radius query).
-    pub fn from_balls(balls: Vec<Vec<u32>>, n: usize) -> Self {
-        Self::from_shared(Arc::new(balls), n)
-    }
-
     /// Builds from shared ball membership lists without copying them.
-    pub fn from_shared(balls: Arc<Vec<Vec<u32>>>, n: usize) -> Self {
+    pub fn from_shared(balls: Arc<BallLists>, n: usize) -> Self {
         let upper_bound = Self::union_size(&balls, n);
         Self::from_shared_with_bound(balls, n, upper_bound)
     }
@@ -57,19 +52,17 @@ impl BallDiversity {
     /// `|∪_u G_u|` of the given lists — the D̂ normalization constant.
     /// With self-inclusive balls this is `n`, but compute it honestly in
     /// case custom balls omit members.
-    pub fn union_size(balls: &[Vec<u32>], n: usize) -> usize {
+    pub fn union_size(balls: &BallLists, n: usize) -> usize {
         let mut seen = vec![false; n];
-        for ball in balls {
-            for &w in ball {
-                seen[w as usize] = true;
-            }
+        for &w in balls.members() {
+            seen[w as usize] = true;
         }
         seen.iter().filter(|&&b| b).count()
     }
 
     /// Builds from shared lists and their precomputed [`Self::union_size`]
     /// — the warm-engine path, which touches no list at construction.
-    pub fn from_shared_with_bound(balls: Arc<Vec<Vec<u32>>>, n: usize, upper_bound: usize) -> Self {
+    pub fn from_shared_with_bound(balls: Arc<BallLists>, n: usize, upper_bound: usize) -> Self {
         Self {
             balls,
             covered: Bitset::new(n),
@@ -81,7 +74,7 @@ impl BallDiversity {
 
     /// Ball membership of node `u`.
     pub fn ball(&self, u: usize) -> &[u32] {
-        &self.balls[u]
+        self.balls.ball(u)
     }
 
     /// Mean ball size (diagnostic for radius tuning).
@@ -89,7 +82,7 @@ impl BallDiversity {
         if self.balls.is_empty() {
             return 0.0;
         }
-        self.balls.iter().map(Vec::len).sum::<usize>() as f64 / self.balls.len() as f64
+        self.balls.members().len() as f64 / self.balls.len() as f64
     }
 }
 

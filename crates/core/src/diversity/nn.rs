@@ -26,6 +26,8 @@ pub struct NnDiversity {
     dmax: f32,
     /// Running `D_NN` value.
     value: f64,
+    /// Workers for a marginal-gain evaluation (`0` = auto).
+    threads: usize,
 }
 
 impl NnDiversity {
@@ -36,13 +38,15 @@ impl NnDiversity {
     /// [`grain_linalg::distance::max_pairwise_distance`]).
     pub fn new(embedding: DenseMatrix, exact_limit: usize) -> Self {
         let dmax = distance::max_pairwise_distance(&embedding, exact_limit, 0);
-        Self::from_parts(Arc::new(embedding), dmax)
+        Self::from_parts(Arc::new(embedding), dmax, 0)
     }
 
     /// Builds from a shared embedding and precomputed `d_max` — the warm
     /// engine path, which caches both across selections instead of copying
-    /// the matrix and rescanning pairs.
-    pub fn from_parts(embedding: Arc<DenseMatrix>, dmax: f32) -> Self {
+    /// the matrix and rescanning pairs. Marginal gains run over `threads`
+    /// workers (`0` = auto); each node's reduction is computed alone and
+    /// summed in node order, so any count gives the same bits.
+    pub fn from_parts(embedding: Arc<DenseMatrix>, dmax: f32, threads: usize) -> Self {
         let dmax = dmax.max(f32::EPSILON);
         let n = embedding.rows();
         Self {
@@ -50,6 +54,7 @@ impl NnDiversity {
             mind: vec![dmax; n],
             dmax,
             value: 0.0,
+            threads,
         }
     }
 
@@ -91,7 +96,9 @@ impl DiversityFunction for NnDiversity {
         }
         let n = self.embedding.rows();
         // Parallel over nodes: the reduction sum is independent per node.
-        let gains = grain_linalg::par::par_map(n, 64, |w| self.reduction_at(w, newly_activated));
+        let gains = grain_linalg::par::par_map_with(self.threads, n, 64, |w| {
+            self.reduction_at(w, newly_activated)
+        });
         gains.into_iter().sum()
     }
 

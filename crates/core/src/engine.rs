@@ -52,7 +52,8 @@ use crate::store::{ArtifactStore, ContentAddress, PendingArtifact};
 use grain_graph::{transition_matrix, transition_rows, CsrMatrix, Graph, TransitionKind};
 use grain_influence::walk::kernel_power_weights;
 use grain_influence::{ActivationIndex, InfluenceRows, ThetaRule};
-use grain_linalg::{distance, DenseMatrix};
+use grain_linalg::distance::{self, BallLists};
+use grain_linalg::DenseMatrix;
 use grain_prop::cache::PropagationCache;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -302,7 +303,7 @@ impl ArtifactBytes {
 /// Ball membership lists keyed by (kernel, radius bits), shared with the
 /// per-selection `BallDiversity` instances without copying; the union
 /// coverage bound rides along so warm selects touch no list.
-type BallCache = Option<((KernelKey, u32), (Arc<Vec<Vec<u32>>>, usize))>;
+type BallCache = Option<((KernelKey, u32), (Arc<BallLists>, usize))>;
 
 /// Staged Grain pipeline with per-artifact caching over one (graph,
 /// features) pair.
@@ -599,12 +600,10 @@ impl SelectionEngine {
         let embedding = self.embedding.as_ref().map_or(0, |(_, e)| dense_bytes(e));
         let influence_rows = self.rows.as_ref().map_or(0, |(_, r)| r.resident_bytes());
         let activation_index = self.index.as_ref().map_or(0, |(_, i)| i.resident_bytes());
-        let balls = self.balls.as_ref().map_or(0, |(_, (lists, _))| {
-            lists
-                .iter()
-                .map(|b| std::mem::size_of::<Vec<u32>>() + b.len() * std::mem::size_of::<u32>())
-                .sum()
-        });
+        let balls = self
+            .balls
+            .as_ref()
+            .map_or(0, |(_, (lists, _))| lists.resident_bytes());
         let greedy_trace = self.traces.last.as_ref().map_or(0, CachedRun::bytes);
         ArtifactBytes {
             transition,
@@ -1222,7 +1221,11 @@ impl SelectionEngine {
                     let dmax = self.nn_dmax.as_ref().expect("dmax ensured").1;
                     let embedding =
                         Arc::clone(&self.embedding.as_ref().expect("embedding ensured").1);
-                    Box::new(NnDiversity::from_parts(embedding, dmax))
+                    Box::new(NnDiversity::from_parts(
+                        embedding,
+                        dmax,
+                        self.config.parallelism,
+                    ))
                 }
             };
         let (scope, magnitude_weight, gamma) = variant_parameters(variant, self.config.gamma);
@@ -1325,40 +1328,43 @@ mod tests {
     fn parallelism_changes_rebuild_nothing_and_select_identically() {
         // `parallelism` is a pure execution knob: changing it keeps every
         // cached artifact (it is in no cache key) and any thread count
-        // selects the identical set.
+        // selects the identical set, under both diversity functions.
         let (g, x) = dataset(8);
         let candidates: Vec<u32> = (0..g.num_nodes() as u32).collect();
-        let reference = {
-            let mut cfg = GrainConfig::ball_d();
-            cfg.parallelism = 1;
-            SelectionEngine::new(cfg, &g, &x)
-                .unwrap()
-                .select(&candidates, 9)
-        };
-        let mut engine = SelectionEngine::new(GrainConfig::ball_d(), &g, &x).unwrap();
-        engine.select(&candidates, 9);
-        let before = engine.stats();
-        for parallelism in [2usize, 8] {
-            let mut cfg = *engine.config();
-            cfg.parallelism = parallelism;
-            engine.set_config(cfg).unwrap();
-            let out = engine.select(&candidates, 9);
-            assert_eq!(out.selected, reference.selected, "{parallelism} threads");
-            assert_eq!(out.sigma, reference.sigma, "{parallelism} threads");
+        for base in [GrainConfig::ball_d(), GrainConfig::nn_d()] {
+            let reference = {
+                let mut cfg = base;
+                cfg.parallelism = 1;
+                SelectionEngine::new(cfg, &g, &x)
+                    .unwrap()
+                    .select(&candidates, 9)
+            };
+            let mut engine = SelectionEngine::new(base, &g, &x).unwrap();
+            engine.set_trace_cache(false);
+            engine.select(&candidates, 9);
+            let before = engine.stats();
+            for parallelism in [2usize, 8] {
+                let mut cfg = *engine.config();
+                cfg.parallelism = parallelism;
+                engine.set_config(cfg).unwrap();
+                let out = engine.select(&candidates, 9);
+                assert_eq!(out.selected, reference.selected, "{parallelism} threads");
+                assert_eq!(out.sigma, reference.sigma, "{parallelism} threads");
+                assert_eq!(
+                    out.objective_trace, reference.objective_trace,
+                    "{parallelism} threads"
+                );
+            }
+            let after = engine.stats();
             assert_eq!(
-                out.objective_trace, reference.objective_trace,
-                "{parallelism} threads"
+                EngineStats {
+                    selections: before.selections + 2,
+                    ..before
+                },
+                after,
+                "parallelism swaps must not invalidate artifacts"
             );
         }
-        let after = engine.stats();
-        assert_eq!(
-            EngineStats {
-                selections: before.selections + 2,
-                ..before
-            },
-            after,
-            "parallelism swaps must not invalidate artifacts"
-        );
     }
 
     #[test]

@@ -8,34 +8,63 @@
 //! d(u, v) = || x_u/||x_u||  -  x_v/||x_v|| || / 2
 //! ```
 //!
-//! This module provides that metric, chunked all-pairs radius queries (used
-//! to build ball-coverage groups `G_u`), and nearest-centroid helpers used by
-//! the K-Center-Greedy and AGE baselines.
+//! This module provides that metric, an exact lane-blocked all-pairs scan
+//! behind the radius query (the ball-coverage groups `G_u`, as flat
+//! [`BallLists`]) and the `d_max` constant, and nearest-centroid helpers
+//! used by the K-Center-Greedy and AGE baselines.
 
 use crate::dense::DenseMatrix;
 use crate::ops;
-use crate::par::{self, SendPtr};
+use crate::par;
+use std::ops::{Index, Range};
 
-/// Rows per cache tile in the O(n²·d) all-pairs kernels. The blocked loop
-/// order revisits one v-tile for every u in a worker's block, so the tile
-/// (64 rows × d floats) stays in L1/L2 across the whole block instead of
-/// streaming the full n×d matrix once per source row. Tiling only reorders
-/// *independent* (u, v) distance evaluations — per-u neighbor appends stay
-/// v-ascending and `f32::max` is an order-independent reduction — so
-/// results are bit-identical to the untiled scan.
+/// Target rows per lane block: [`sq_euclidean_lanes`] measures one source
+/// row against this many target rows at once.
+pub const LANES: usize = 8;
+
+/// Target rows per transposed tile of the all-pairs scan. A worker copies
+/// one tile (`TILE_ROWS × d` floats, 16 KiB at d = 64) into its own
+/// dimension-major buffer and measures every source row of its block
+/// against it while it sits in L1/L2. Each worker holds one tile at a
+/// time; the matrix is never copied whole (ball-D targets n = 1e5).
 const TILE_ROWS: usize = 64;
 
-/// Squared Euclidean distance between two raw rows.
+/// Source rows per unit of scan work. Workers claim blocks from a shared
+/// cursor, so the triangle's long early rows and short late rows balance
+/// by work, not by row count.
+const SOURCE_BLOCK: usize = 64;
+
+/// Squared Euclidean distance between two raw rows: `Σ (a[j] − b[j])²`
+/// summed for `j` ascending from `0.0`.
 #[inline]
 pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| {
+    a.iter().zip(b.iter()).fold(0.0, |acc, (x, y)| {
+        let d = x - y;
+        acc + d * d
+    })
+}
+
+/// Squared Euclidean distances from `u` to the [`LANES`] rows of one
+/// dimension-major block (`block[j * LANES + l]` is coordinate `j` of row
+/// `l`).
+///
+/// Lane `l` runs exactly the operation sequence of
+/// [`sq_euclidean`]`(u, row_l)` — `acc += (u[j] − v[j])²` for `j`
+/// ascending, no fused multiply-add — so every lane is bit-equal to it.
+/// The lanes are independent chains, which is what lets the compiler
+/// vectorize across them on baseline SSE2.
+#[inline]
+pub fn sq_euclidean_lanes(u: &[f32], block: &[f32]) -> [f32; LANES] {
+    debug_assert_eq!(block.len(), u.len() * LANES);
+    let mut acc = [0.0f32; LANES];
+    for (&x, column) in u.iter().zip(block.chunks_exact(LANES)) {
+        for (a, &y) in acc.iter_mut().zip(column) {
             let d = x - y;
-            d * d
-        })
-        .sum()
+            *a += d * d;
+        }
+    }
+    acc
 }
 
 /// Euclidean distance between two raw rows.
@@ -61,41 +90,217 @@ pub fn normalized_embedding(m: &DenseMatrix, threads: usize) -> DenseMatrix {
     out
 }
 
-/// All-pairs radius query on L2-normalized rows under [`grain_distance`].
-///
-/// Returns, for every row `u`, the sorted list of rows `v` (including `u`
-/// itself) with `grain_distance(u, v) <= r`. Computed over `threads`
-/// workers (`0` = auto) with a squared-threshold comparison so no square
-/// roots are taken in the inner loop. Each row's neighbor list is owned by
-/// exactly one worker and the cache-blocked scan (see `TILE_ROWS`) visits
-/// v-tiles in ascending order, so the result is bit-identical to a naive
-/// row-major scan at any thread count.
-pub fn radius_neighbors(normed: &DenseMatrix, r: f32, threads: usize) -> Vec<Vec<u32>> {
-    let n = normed.rows();
-    // grain_distance <= r  <=>  sq_euclidean <= (2r)^2
-    let thresh = (2.0 * r) * (2.0 * r);
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
+/// Ball membership lists in one flat (CSR) layout: the members of row
+/// `u`'s ball are `cols[offsets[u]..offsets[u + 1]]`, ascending. Resident
+/// size is `(n + 1) · 8 + Σ|G_u| · 4` bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BallLists {
+    offsets: Vec<usize>,
+    cols: Vec<u32>,
+}
+
+impl BallLists {
+    /// Number of rows (balls).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there are no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Members of row `u`'s ball, ascending.
+    #[must_use]
+    pub fn ball(&self, u: usize) -> &[u32] {
+        &self.cols[self.offsets[u]..self.offsets[u + 1]]
+    }
+
+    /// Every row's members, concatenated in row order (`Σ|G_u|` entries).
+    #[must_use]
+    pub fn members(&self) -> &[u32] {
+        &self.cols
+    }
+
+    /// Exact resident heap bytes: `(n + 1)` offsets and `Σ|G_u|` members.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<usize>()
+            + self.cols.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Counted CSR from each row's `v ≥ u` members (ascending), given in
+    /// row order. Membership is symmetric — `sq_euclidean(a, b)` and
+    /// `sq_euclidean(b, a)` are bit-equal, since each term squares an
+    /// exactly negated difference in the same order — so row `u` is its
+    /// mirrored `w < u` members (ascending, written while `w` is visited
+    /// in ascending order) followed by its own upper members.
+    fn mirror_upper<'a>(n: usize, upper: impl Iterator<Item = &'a [u32]> + Clone) -> Self {
+        let mut offsets = vec![0usize; n + 1];
+        for (u, row) in upper.clone().enumerate() {
+            offsets[u + 1] += row.len();
+            for &v in row.iter().filter(|&&v| v as usize > u) {
+                offsets[v as usize + 1] += 1;
+            }
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut cols = vec![0u32; offsets[n]];
+        // Next free slot per row. Every `w < u` has already mirrored into
+        // row `u` when `u` is reached, so its own members land after them.
+        let mut next = offsets[..n].to_vec();
+        for (u, row) in upper.enumerate() {
+            cols[next[u]..next[u] + row.len()].copy_from_slice(row);
+            next[u] += row.len();
+            for &v in row.iter().filter(|&&v| v as usize > u) {
+                cols[next[v as usize]] = u as u32;
+                next[v as usize] += 1;
+            }
+        }
+        Self { offsets, cols }
+    }
+}
+
+impl Index<usize> for BallLists {
+    type Output = [u32];
+
+    fn index(&self, u: usize) -> &[u32] {
+        self.ball(u)
+    }
+}
+
+impl From<Vec<Vec<u32>>> for BallLists {
+    fn from(lists: Vec<Vec<u32>>) -> Self {
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        offsets.push(0);
+        for list in &lists {
+            offsets.push(offsets.last().copied().unwrap_or(0) + list.len());
+        }
+        Self {
+            offsets,
+            cols: lists.concat(),
+        }
+    }
+}
+
+/// Copies target rows `start..end` (at most [`TILE_ROWS`]) into `tile` as
+/// dimension-major lane blocks: block `b` holds rows `start + b·LANES ..`
+/// with coordinate `j` of its lane `l` at `b·LANES·d + j·LANES + l`.
+/// Lanes past `end` are zero and never reported.
+fn transpose_tile(m: &DenseMatrix, start: usize, end: usize, tile: &mut [f32]) {
+    let d = m.cols();
+    if d == 0 {
+        return;
+    }
+    for (block, block_start) in tile
+        .chunks_exact_mut(LANES * d)
+        .zip((start..end).step_by(LANES))
     {
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        par::for_each_chunk_with(threads, n, 8, |start, end| {
-            // SAFETY: each worker writes only the `out` entries of its own
-            // disjoint u-range, and `out` outlives the scoped threads.
-            let ptr = out_ptr;
-            for tile_start in (0..n).step_by(TILE_ROWS) {
-                let tile_end = (tile_start + TILE_ROWS).min(n);
-                for u in start..end {
-                    let row_u = normed.row(u);
-                    let out_u = unsafe { &mut *ptr.0.add(u) };
-                    for v in tile_start..tile_end {
-                        if sq_euclidean(row_u, normed.row(v)) <= thresh {
-                            out_u.push(v as u32);
-                        }
+        for l in 0..LANES {
+            let v = block_start + l;
+            let mut column = block[l..].iter_mut().step_by(LANES);
+            if v < end {
+                for (slot, &x) in column.by_ref().zip(m.row(v)) {
+                    *slot = x;
+                }
+            } else {
+                column.for_each(|slot| *slot = 0.0);
+            }
+        }
+    }
+}
+
+/// The one exact all-pairs scan: for every source row `u` in `sources`
+/// and every target row `v` in `from(u)..n`, calls
+/// `visit(u, v, sq_euclidean(u, v))`, `v` ascending per source. Target
+/// tiles are transposed into the worker's `tile` buffer one at a time and
+/// measured [`LANES`] rows per kernel call.
+fn scan(
+    m: &DenseMatrix,
+    tile: &mut Vec<f32>,
+    sources: impl Iterator<Item = usize> + Clone,
+    from: impl Fn(usize) -> usize,
+    mut visit: impl FnMut(usize, usize, f32),
+) {
+    let (n, d) = (m.rows(), m.cols());
+    let Some(first) = sources.clone().map(&from).min() else {
+        return;
+    };
+    tile.resize(TILE_ROWS * d, 0.0);
+    for tile_start in (first / TILE_ROWS * TILE_ROWS..n).step_by(TILE_ROWS) {
+        let tile_end = (tile_start + TILE_ROWS).min(n);
+        transpose_tile(m, tile_start, tile_end, tile);
+        for u in sources.clone() {
+            let lo = from(u).max(tile_start);
+            if lo >= tile_end {
+                continue;
+            }
+            let row = m.row(u);
+            let first_block = (lo - tile_start) / LANES * LANES;
+            for block in (first_block..tile_end - tile_start).step_by(LANES) {
+                let lanes = sq_euclidean_lanes(row, &tile[block * d..(block + LANES) * d]);
+                for (l, &sq) in lanes.iter().enumerate() {
+                    let v = tile_start + block + l;
+                    if v >= lo && v < tile_end {
+                        visit(u, v, sq);
                     }
                 }
             }
-        });
+        }
     }
-    out
+}
+
+/// Source block `b` of `0..len` in [`SOURCE_BLOCK`] steps.
+fn source_block(b: usize, len: usize) -> Range<usize> {
+    b * SOURCE_BLOCK..((b + 1) * SOURCE_BLOCK).min(len)
+}
+
+/// All-pairs radius query on L2-normalized rows under [`grain_distance`].
+///
+/// Returns, for every row `u`, the ascending list of rows `v` (including
+/// `u` itself) with `sq_euclidean(u, v) <= (2r)²`, the squared form of
+/// `grain_distance(u, v) <= r`, so no square root is taken.
+///
+/// Exact and bit-identical to a naive row-major double loop at any thread
+/// count. Each unordered pair is measured once over the upper triangle
+/// `v ≥ u` with the lane-blocked kernel (bit-equal to
+/// [`sq_euclidean`]), then mirrored into the flat [`BallLists`].
+/// Source blocks are spread over `threads` workers (`0` = auto) by work.
+pub fn radius_neighbors(normed: &DenseMatrix, r: f32, threads: usize) -> BallLists {
+    let n = normed.rows();
+    let thresh = (2.0 * r) * (2.0 * r);
+    let blocks = par::map_dynamic_with(
+        threads,
+        n.div_ceil(SOURCE_BLOCK),
+        || (Vec::new(), vec![Vec::new(); SOURCE_BLOCK]),
+        |(tile, upper): &mut (Vec<f32>, Vec<Vec<u32>>), b| {
+            let rows = source_block(b, n);
+            scan(
+                normed,
+                tile,
+                rows.clone(),
+                |u| u,
+                |u, v, sq| {
+                    if sq <= thresh {
+                        upper[u - rows.start].push(v as u32);
+                    }
+                },
+            );
+            let (mut ends, mut cols) = (vec![0], Vec::new());
+            for row in &mut upper[..rows.len()] {
+                cols.append(row);
+                ends.push(cols.len());
+            }
+            (ends, cols)
+        },
+    );
+    let upper = blocks
+        .iter()
+        .flat_map(|(ends, cols)| ends.windows(2).map(move |w| &cols[w[0]..w[1]]));
+    BallLists::mirror_upper(n, upper)
 }
 
 /// For every row of `points`, the minimum [`grain_distance`] to any row of
@@ -120,92 +325,46 @@ pub fn min_distance_to_set(points: &DenseMatrix, centers: &DenseMatrix) -> Vec<f
     })
 }
 
-/// Maximum pairwise [`grain_distance`] over the rows (the `d_max` constant of
-/// the NN-diversity function, Definition 3.4). Exact for small inputs and
-/// estimated from a deterministic sample of anchor rows for large inputs,
-/// which is an upper-bound-preserving choice because `d_max <= 1` under the
-/// normalized metric anyway.
+/// Maximum pairwise [`grain_distance`] over the rows: the `d_max`
+/// constant of the NN-diversity function (Definition 3.4).
 ///
-/// Runs over `threads` workers (`0` = auto). Each source row's maximum is owned by one worker and scanned with the
-/// cache-blocked tile loop (see `TILE_ROWS`); `f32::max` over exact
-/// squared distances is an order-independent reduction (no rounding is
-/// introduced by reassociation), so the result is bit-identical at any
-/// thread count and to the untiled scan.
+/// Exact for `n <= exact_limit`: every unordered pair `v > u` once. Beyond
+/// that it is estimated from a deterministic stride sample of at least
+/// `exact_limit.max(16)` anchor rows, each measured against every row,
+/// which can only underestimate; `d_max <= 1` under the normalized metric
+/// anyway.
+///
+/// Runs the same lane-blocked scan as [`radius_neighbors`] over `threads`
+/// workers (`0` = auto) with a max reducer. A maximum over exact squared
+/// distances is order-independent, so the result is bit-identical to a
+/// naive double loop at any thread count.
 pub fn max_pairwise_distance(normed: &DenseMatrix, exact_limit: usize, threads: usize) -> f32 {
     let n = normed.rows();
     if n <= 1 {
         return 0.0;
     }
-    let best_sq = if n <= exact_limit {
-        // Exact upper-triangle scan: source row u against every v > u.
-        let partial = max_sq_tiled(normed, threads, 16, n, |i| i, true);
-        partial.into_iter().fold(0.0f32, f32::max)
+    let (sources, stride, from): (usize, usize, fn(usize) -> usize) = if n <= exact_limit {
+        (n, 1, |u| u + 1)
     } else {
-        // Deterministic stride sample of anchors; each anchor scans all rows.
-        let anchors = exact_limit.max(16).min(n);
-        let stride = (n / anchors).max(1);
-        let anchor_rows: Vec<usize> = (0..n).step_by(stride).collect();
-        let partial = max_sq_tiled(
-            normed,
-            threads,
-            1,
-            anchor_rows.len(),
-            |i| anchor_rows[i],
-            false,
-        );
-        partial.into_iter().fold(0.0f32, f32::max)
+        let stride = (n / exact_limit.max(16).min(n)).max(1);
+        (n.div_ceil(stride), stride, |_| 0)
     };
-    best_sq.sqrt() * 0.5
-}
-
-/// Cache-blocked per-source max of squared distances. Source `i` of
-/// `0..sources` is row `source_of(i)`; with `upper_triangle` set, only
-/// targets `v > source_of(i)` are scanned (every unordered pair once).
-/// Each source's running max is owned by one worker, so the tiled loop
-/// order changes nothing observable — max is order-independent.
-fn max_sq_tiled(
-    normed: &DenseMatrix,
-    threads: usize,
-    min_chunk: usize,
-    sources: usize,
-    source_of: impl Fn(usize) -> usize + Sync,
-    upper_triangle: bool,
-) -> Vec<f32> {
-    let n = normed.rows();
-    let mut best = vec![0.0f32; sources];
-    {
-        let best_ptr = SendPtr(best.as_mut_ptr());
-        par::for_each_chunk_with(threads, sources, min_chunk, |start, end| {
-            // SAFETY: each worker writes only its disjoint source range of
-            // `best`, which outlives the scoped threads.
-            let ptr = best_ptr;
-            for tile_start in (0..n).step_by(TILE_ROWS) {
-                let tile_end = (tile_start + TILE_ROWS).min(n);
-                for i in start..end {
-                    let u = source_of(i);
-                    let lo = if upper_triangle {
-                        tile_start.max(u + 1)
-                    } else {
-                        tile_start
-                    };
-                    if lo >= tile_end {
-                        continue;
-                    }
-                    let row = normed.row(u);
-                    let slot = unsafe { &mut *ptr.0.add(i) };
-                    let mut local = *slot;
-                    for v in lo..tile_end {
-                        let d = sq_euclidean(row, normed.row(v));
-                        if d > local {
-                            local = d;
-                        }
-                    }
-                    *slot = local;
+    let best = par::map_dynamic_with(
+        threads,
+        sources.div_ceil(SOURCE_BLOCK),
+        Vec::new,
+        |tile, b| {
+            let mut best = 0.0f32;
+            let rows = source_block(b, sources).map(|i| i * stride);
+            scan(normed, tile, rows, from, |_, _, sq| {
+                if sq > best {
+                    best = sq;
                 }
-            }
-        });
-    }
-    best
+            });
+            best
+        },
+    );
+    best.into_iter().fold(0.0f32, f32::max).sqrt() * 0.5
 }
 
 /// Index of the nearest row of `centers` for every row of `points`
@@ -332,7 +491,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert_eq!(radius_neighbors(&normed, r, 0), naive_balls);
+        assert_eq!(
+            radius_neighbors(&normed, r, 0),
+            BallLists::from(naive_balls)
+        );
 
         let mut naive_best = 0.0f32;
         for u in 0..n {
@@ -345,6 +507,135 @@ mod tests {
             max_pairwise_distance(&normed, usize::MAX, 0).to_bits(),
             naive_dmax.to_bits()
         );
+    }
+
+    /// Deterministic rows in `[-1, 1)` with every hostile case mixed in:
+    /// duplicates (`u % 5 == 1` copies row `u - 1`), antipodes
+    /// (`u % 5 == 2` negates row `u - 2`) and zero rows (`u % 5 == 3`),
+    /// L2-normalized.
+    fn hostile(n: usize, d: usize) -> DenseMatrix {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ (n as u64 * 131 + d as u64);
+        let mut m = DenseMatrix::zeros(n, d);
+        for u in 0..n {
+            for j in 0..d {
+                let value = match u % 5 {
+                    1 => m.row(u - 1)[j],
+                    2 if u >= 2 => -m.row(u - 2)[j],
+                    3 => 0.0,
+                    _ => {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+                    }
+                };
+                m.row_mut(u)[j] = value;
+            }
+        }
+        ops::l2_normalize_rows(&mut m, 1);
+        m
+    }
+
+    const NS: [usize; 6] = [0, 1, 7, 8, 9, 257];
+    const DS: [usize; 6] = [0, 1, 3, 8, 9, 64];
+
+    #[test]
+    fn lane_kernel_is_bit_equal_to_sq_euclidean() {
+        for d in DS {
+            let m = hostile(LANES + 3, d);
+            for u in 0..m.rows() {
+                for first in [0, 3] {
+                    let mut block = vec![0.0f32; LANES * d];
+                    for l in 0..LANES {
+                        for j in 0..d {
+                            block[j * LANES + l] = m.row(first + l)[j];
+                        }
+                    }
+                    let lanes = sq_euclidean_lanes(m.row(u), &block);
+                    for (l, sq) in lanes.iter().enumerate() {
+                        let want = sq_euclidean(m.row(u), m.row(first + l));
+                        assert_eq!(sq.to_bits(), want.to_bits(), "d {d} u {u} v {}", first + l);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn radius_neighbors_is_bit_identical_to_naive_double_loop() {
+        for n in NS {
+            for d in DS {
+                let m = hostile(n, d);
+                for r in [0.0f32, 0.05, 0.5, 1.0] {
+                    let thresh = (2.0 * r) * (2.0 * r);
+                    let naive: Vec<Vec<u32>> = (0..n)
+                        .map(|u| {
+                            (0..n)
+                                .filter(|&v| sq_euclidean(m.row(u), m.row(v)) <= thresh)
+                                .map(|v| v as u32)
+                                .collect()
+                        })
+                        .collect();
+                    let naive = BallLists::from(naive);
+                    for threads in [1usize, 2, 5] {
+                        let got = radius_neighbors(&m, r, threads);
+                        assert_eq!(got, naive, "n {n} d {d} r {r} threads {threads}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_pairwise_distance_is_bit_identical_to_naive_double_loop() {
+        for n in NS {
+            for d in DS {
+                let m = hostile(n, d);
+                let mut exact = 0.0f32;
+                for u in 0..n {
+                    for v in (u + 1)..n {
+                        exact = exact.max(sq_euclidean(m.row(u), m.row(v)));
+                    }
+                }
+                // Anchor-sampled: 16 anchors at stride n / 16, each
+                // against every row.
+                let stride = (n / 16usize.min(n.max(1))).max(1);
+                let mut sampled = 0.0f32;
+                for u in (0..n).step_by(stride) {
+                    for v in 0..n {
+                        sampled = sampled.max(sq_euclidean(m.row(u), m.row(v)));
+                    }
+                }
+                let bits = |sq: f32| {
+                    if n <= 1 {
+                        0.0f32.to_bits()
+                    } else {
+                        (sq.sqrt() * 0.5).to_bits()
+                    }
+                };
+                for threads in [1usize, 2, 5] {
+                    let at = |limit| max_pairwise_distance(&m, limit, threads).to_bits();
+                    assert_eq!(at(usize::MAX), bits(exact), "n {n} d {d} threads {threads}");
+                    if n > 16 {
+                        assert_eq!(at(1), bits(sampled), "n {n} d {d} threads {threads}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ball_lists_flat_layout_round_trips() {
+        let nested = vec![vec![0, 2], vec![], vec![0, 1, 2]];
+        let flat = BallLists::from(nested.clone());
+        assert_eq!(flat.len(), 3);
+        assert_eq!(flat.members(), [0, 2, 0, 1, 2]);
+        for (u, list) in nested.iter().enumerate() {
+            assert_eq!(flat[u], *list);
+        }
+        assert_eq!(flat[2], [0, 1, 2]);
+        assert_eq!(flat.resident_bytes(), 4 * 8 + 5 * 4);
+        assert!(BallLists::from(Vec::new()).is_empty());
     }
 
     #[test]

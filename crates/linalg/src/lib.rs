@@ -8,8 +8,8 @@
 //! * [`bitset`] — a packed u64 bitset backing the allocation-free greedy
 //!   coverage loops,
 //! * [`ops`] — (parallel) GEMM variants and elementwise kernels,
-//! * [`distance`] — chunked pairwise distances and radius queries used by the
-//!   diversity functions of Section 3.3,
+//! * [`distance`] — the exact lane-blocked all-pairs scan behind the flat
+//!   ball lists and `d_max` of the diversity functions of Section 3.3,
 //! * [`kmeans`] — k-means++ clustering used by the AGE baseline's density arm,
 //! * [`pca`] — power-iteration PCA used for the Figure 7 interpretability
 //!   scatter (substitute for t-SNE),

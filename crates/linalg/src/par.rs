@@ -91,31 +91,69 @@ pub fn for_each_dynamic<F>(len: usize, grain: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    let threads = num_threads().min(len.max(1)).max(1);
-    if threads <= 1 || len <= grain {
-        for i in 0..len {
-            f(i);
-        }
-        return;
+    let grain = grain.max(1);
+    map_dynamic_with(
+        0,
+        len.div_ceil(grain),
+        || (),
+        |(), block| {
+            for i in block * grain..((block + 1) * grain).min(len) {
+                f(i);
+            }
+        },
+    );
+}
+
+/// Maps `0..len` through `f` on `requested_threads` workers (`0` = auto)
+/// that claim indices in ascending order from a shared atomic cursor,
+/// each with its own scratch state from `init`.
+///
+/// Element `i` of the output is `f(&mut scratch, i)` whichever worker ran
+/// it, so the output is bit-identical at every thread count as long as
+/// `f` uses the scratch only as a buffer. Claiming by cursor balances
+/// skewed per-index costs (a triangle of pairs, hub rows) by work rather
+/// than by index count.
+pub fn map_dynamic_with<S, T, I, F>(requested_threads: usize, len: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let threads = resolve_threads(requested_threads).min(len).max(1);
+    if threads <= 1 {
+        let mut scratch = init();
+        return (0..len).map(|i| f(&mut scratch, i)).collect();
     }
     let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
     crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move |_| loop {
-                let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                if start >= len {
-                    break;
-                }
-                let end = (start + grain).min(len);
-                for i in start..end {
-                    f(i);
-                }
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let (cursor, init, f) = (&cursor, &init, &f);
+                scope.spawn(move |_| {
+                    let mut scratch = init();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            return done;
+                        }
+                        done.push((i, f(&mut scratch, i)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, value) in worker.join().expect("worker thread panicked") {
+                slots[i] = Some(value);
+            }
         }
     })
     .expect("worker thread panicked");
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index claimed once"))
+        .collect()
 }
 
 /// Maps `0..len` through `f` into a `Vec`, computing chunks in parallel.
@@ -191,6 +229,19 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn map_dynamic_is_thread_count_invariant() {
+        let want: Vec<usize> = (0..301).map(|i| i * i).collect();
+        for threads in [1usize, 2, 5] {
+            let got = map_dynamic_with(threads, 301, Vec::<usize>::new, |scratch, i| {
+                scratch.push(i);
+                i * i
+            });
+            assert_eq!(got, want, "{threads} threads");
+        }
+        assert!(map_dynamic_with(3, 0, || (), |(), i| i).is_empty());
     }
 
     #[test]
