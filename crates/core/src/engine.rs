@@ -1027,6 +1027,7 @@ impl SelectionEngine {
                     config.influence_eps,
                     config.influence_row_top_k,
                     dirty_influence,
+                    config.parallelism,
                 );
                 timings.influence = stage.elapsed();
                 rows = Some((rows_key.clone(), rebuilt));

@@ -506,6 +506,7 @@ mod tests {
             1e-4,
             0,
             &dirty,
+            1,
         );
         for rule in [
             ThetaRule::FixedAbsolute(0.05),

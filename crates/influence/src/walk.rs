@@ -17,22 +17,39 @@
 //! no 24-byte `Vec` header per node, and columns/values stream through the
 //! greedy hot loops as two contiguous arrays. At `n` nodes and `nnz`
 //! stored entries the artifact occupies `8·(n+1) + 8·nnz` bytes
-//! ([`InfluenceRows::resident_bytes`], exact). Parallel builds write
-//! per-worker flat chunks for contiguous row ranges and stitch them in
-//! rank order, so the layout is bit-identical at any thread count.
+//! ([`InfluenceRows::resident_bytes`], exact).
+//!
+//! # One walk driver
+//!
+//! The cold build ([`InfluenceRows::compute_weighted`]) and the streaming
+//! patch ([`InfluenceRows::with_rebuilt_rows`]) run one private driver
+//! over a list of rows — `0..n`, or the dirty rows. It cuts the list into
+//! fixed 64-row blocks that workers claim from a shared cursor
+//! (`par::map_dynamic_with`), each worker with its own walk scratch, and
+//! each block yields one flat chunk. A static split by row count would
+//! leave one worker with the hubs, whose ids cluster low on a
+//! preferential-attachment graph; claiming by block splits by work. The
+//! chunks come back in block order and are stitched (or spliced between
+//! clean rows) with plain copies, so the layout is bit-identical at any
+//! thread count. A cancellation probe is polled once per block.
 //!
 //! # Row truncation
 //!
 //! The builder accepts an optional `top_k` (0 = off): each row keeps only its
 //! `top_k` heaviest entries (ties broken toward the smaller column id)
 //! **before** Eq. 8 normalization, bounding `nnz` by `top_k · n` on
-//! hub-heavy graphs where ε-pruning alone is not enough. Truncation
-//! changes results, so it participates in the artifact fingerprint
-//! upstream (`GrainConfig::influence_row_top_k`).
+//! hub-heavy graphs where ε-pruning alone is not enough. The kept set is
+//! selected in linear time rather than by sorting the row: weight
+//! descending, then column ascending, is a strict total order over a
+//! row's unique columns, so the kept set is unique, and it is the only
+//! thing the later column sort and L1 sum see — the output equals a full
+//! sort's bit for bit. Truncation changes results, so it participates in
+//! the artifact fingerprint upstream (`GrainConfig::influence_row_top_k`).
 
 use grain_graph::CsrMatrix;
-use grain_linalg::par::{self, SendPtr};
+use grain_linalg::par;
 use grain_prop::Kernel;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-power weights `c_l` such that the kernel's Jacobian w.r.t. the input
 /// features is `Σ_{l=0..k} c_l T^l` (Definition 3.1 applied to each Table 1
@@ -67,9 +84,15 @@ pub fn kernel_power_weights(kernel: Kernel) -> Vec<f32> {
     }
 }
 
-/// One worker's flat output: the rows of a contiguous `v`-range, stored as
-/// per-row lengths plus concatenated columns/values. Chunks are stitched
-/// into the final CSR in worker-rank order, which equals row order.
+/// Rows walked between probe polls and claimed as one unit of work: large
+/// enough that polling and claiming cost vanish, small enough that
+/// cancellation is observed within milliseconds on real graphs and that
+/// the hub rows of a skewed graph spread over every worker.
+const ROW_BLOCK: usize = 64;
+
+/// One block's flat output: per-row lengths plus concatenated
+/// columns/values. Chunks come back in block order, which is the order of
+/// the walked row list.
 #[derive(Default)]
 struct RowChunk {
     lens: Vec<u32>,
@@ -77,17 +100,30 @@ struct RowChunk {
     vals: Vec<f32>,
 }
 
+impl RowChunk {
+    /// The chunk's rows as `(columns, values)` slices, in walk order.
+    fn rows(&self) -> impl Iterator<Item = (&[u32], &[f32])> + '_ {
+        let mut at = 0usize;
+        self.lens.iter().map(move |&len| {
+            let (lo, hi) = (at, at + len as usize);
+            at = hi;
+            (&self.cols[lo..hi], &self.vals[lo..hi])
+        })
+    }
+}
+
 /// Dense per-thread scratch for one row's scatter-gather walk: one buffer
 /// for the walk step, one for the weighted accumulator, both reset lazily
 /// through touched-index lists so per-row cost tracks row support, not
-/// `n`. Shared between the parallel full build and the incremental
-/// per-row rebuild so both run the **identical** float path.
+/// `n`. `row` assembles one row before it is appended to its block's
+/// chunk.
 struct WalkScratch {
     step: Vec<f32>,
     step_touched: Vec<u32>,
     acc: Vec<f32>,
     acc_touched: Vec<u32>,
     frontier: Vec<(u32, f32)>,
+    row: Vec<(u32, f32)>,
 }
 
 impl WalkScratch {
@@ -98,93 +134,170 @@ impl WalkScratch {
             acc: vec![0.0f32; n],
             acc_touched: Vec::new(),
             frontier: Vec::new(),
+            row: Vec::new(),
         }
     }
 }
 
-/// Computes the normalized influence row of `v` into `row`: `k`
-/// scatter-gather steps with ε-pruning between steps, optional `top_k`
-/// truncation (ties toward the smaller column) before Eq. 8
-/// normalization. This is the single per-row walk both the full builder
-/// and [`InfluenceRows::with_rebuilt_rows`] execute — one float path, so
-/// a row rebuilt in isolation is bit-identical to the same row from a
-/// cold build.
-fn walk_row(
-    t: &CsrMatrix,
-    weights: &[f32],
+/// The walk parameters every row of one artifact shares.
+#[derive(Clone, Copy)]
+struct Walk<'a> {
+    t: &'a CsrMatrix,
+    weights: &'a [f32],
     eps: f32,
     top_k: usize,
-    v: usize,
-    scratch: &mut WalkScratch,
-    row: &mut Vec<(u32, f32)>,
-) {
-    let k = weights.len() - 1;
-    let WalkScratch {
-        step,
-        step_touched,
-        acc,
-        acc_touched,
-        frontier,
-    } = scratch;
-    frontier.clear();
-    frontier.push((v as u32, 1.0));
-    acc_touched.clear();
-    if weights[0] != 0.0 {
-        acc[v] = weights[0];
-        acc_touched.push(v as u32);
-    }
-    for &wl in weights.iter().skip(1).take(k) {
-        step_touched.clear();
-        for &(node, mass) in frontier.iter() {
-            let (idx, vals) = t.row(node as usize);
-            for (&c, &w) in idx.iter().zip(vals) {
-                let add = mass * w;
-                if add == 0.0 {
-                    continue;
-                }
-                if step[c as usize] == 0.0 {
-                    step_touched.push(c);
-                }
-                step[c as usize] += add;
-            }
-        }
+}
+
+impl Walk<'_> {
+    /// Computes the normalized influence row of `v` into `scratch.row`:
+    /// `k` scatter-gather steps with ε-pruning between steps, optional
+    /// `top_k` truncation (ties toward the smaller column) before Eq. 8
+    /// normalization.
+    ///
+    /// Truncation selects the kept set in linear time
+    /// (`select_nth_unstable_by`) rather than sorting the whole row. The
+    /// comparator — weight descending by `total_cmp`, then column
+    /// ascending — is a strict total order because a row's columns are
+    /// unique, so the `top_k` kept entries are the same set a full sort
+    /// would keep. Only that set reaches the column sort and the L1 sum,
+    /// so every output bit equals the full-sort path.
+    fn row(&self, v: usize, scratch: &mut WalkScratch) {
+        let Walk {
+            t,
+            weights,
+            eps,
+            top_k,
+        } = *self;
+        let k = weights.len() - 1;
+        let WalkScratch {
+            step,
+            step_touched,
+            acc,
+            acc_touched,
+            frontier,
+            row,
+        } = scratch;
         frontier.clear();
-        for &c in step_touched.iter() {
-            let val = step[c as usize];
-            step[c as usize] = 0.0;
-            if val >= eps {
-                frontier.push((c, val));
-                if wl != 0.0 {
-                    if acc[c as usize] == 0.0 {
-                        acc_touched.push(c);
+        frontier.push((v as u32, 1.0));
+        acc_touched.clear();
+        if weights[0] != 0.0 {
+            acc[v] = weights[0];
+            acc_touched.push(v as u32);
+        }
+        for &wl in weights.iter().skip(1).take(k) {
+            step_touched.clear();
+            for &(node, mass) in frontier.iter() {
+                let (idx, vals) = t.row(node as usize);
+                for (&c, &w) in idx.iter().zip(vals) {
+                    let add = mass * w;
+                    if add == 0.0 {
+                        continue;
                     }
-                    acc[c as usize] += wl * val;
+                    if step[c as usize] == 0.0 {
+                        step_touched.push(c);
+                    }
+                    step[c as usize] += add;
+                }
+            }
+            frontier.clear();
+            for &c in step_touched.iter() {
+                let val = step[c as usize];
+                step[c as usize] = 0.0;
+                if val >= eps {
+                    frontier.push((c, val));
+                    if wl != 0.0 {
+                        if acc[c as usize] == 0.0 {
+                            acc_touched.push(c);
+                        }
+                        acc[c as usize] += wl * val;
+                    }
                 }
             }
         }
-    }
-    row.clear();
-    for &c in acc_touched.iter() {
-        let val = acc[c as usize];
-        acc[c as usize] = 0.0;
-        if val > 0.0 {
-            row.push((c, val));
+        row.clear();
+        for &c in acc_touched.iter() {
+            let val = acc[c as usize];
+            acc[c as usize] = 0.0;
+            if val > 0.0 {
+                row.push((c, val));
+            }
+        }
+        // Optional truncation to the top_k heaviest entries (ties toward the
+        // smaller column), applied before normalization so the kept mass is
+        // renormalized.
+        if top_k > 0 && row.len() > top_k {
+            row.select_nth_unstable_by(top_k - 1, |&(ca, wa), &(cb, wb)| {
+                wb.total_cmp(&wa).then(ca.cmp(&cb))
+            });
+            row.truncate(top_k);
+        }
+        row.sort_unstable_by_key(|&(c, _)| c);
+        // Eq. 8 normalization over the kept entries.
+        let total: f32 = row.iter().map(|&(_, w)| w).sum();
+        if total > 0.0 {
+            for e in row.iter_mut() {
+                e.1 /= total;
+            }
         }
     }
-    // Optional truncation to the top_k heaviest entries (ties toward the
-    // smaller column), applied before normalization so the kept mass is
-    // renormalized.
-    if top_k > 0 && row.len() > top_k {
-        row.sort_unstable_by(|&(ca, wa), &(cb, wb)| wb.total_cmp(&wa).then(ca.cmp(&cb)));
-        row.truncate(top_k);
-    }
-    row.sort_unstable_by_key(|&(c, _)| c);
-    // Eq. 8 normalization over the kept entries.
-    let total: f32 = row.iter().map(|&(_, w)| w).sum();
-    if total > 0.0 {
-        for e in row.iter_mut() {
-            e.1 /= total;
-        }
+
+    /// The one walk driver behind the cold build and the streaming patch:
+    /// walks rows `row_at(0..len)` in [`ROW_BLOCK`]-row blocks that
+    /// `threads` workers (`0` = auto) claim from a shared cursor, each
+    /// with its own [`WalkScratch`], and returns one chunk per block in
+    /// block order.
+    ///
+    /// Claiming by block balances skewed per-row costs (hub rows cluster
+    /// in the low ids of a preferential-attachment graph) by work rather
+    /// than by row count. Every row is walked start to finish by one
+    /// worker with the same [`Walk::row`], so the chunks are
+    /// bit-identical at any thread count.
+    ///
+    /// `stop` is polled once at the start of every block. Once any block
+    /// observes it, the remaining blocks return empty and the driver
+    /// returns `None`; the chunks walked so far are dropped, never
+    /// stitched.
+    fn blocks(
+        &self,
+        threads: usize,
+        len: usize,
+        row_at: impl Fn(usize) -> usize + Sync,
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> Option<Vec<RowChunk>> {
+        let n = self.t.rows();
+        let stopped = AtomicBool::new(false);
+        let chunks = par::map_dynamic_with(
+            threads,
+            len.div_ceil(ROW_BLOCK),
+            || WalkScratch::new(n),
+            |scratch, block| {
+                if stopped.load(Ordering::Relaxed) || stop() {
+                    stopped.store(true, Ordering::Relaxed);
+                    return RowChunk::default();
+                }
+                let rows = block * ROW_BLOCK..((block + 1) * ROW_BLOCK).min(len);
+                let mut chunk = RowChunk {
+                    lens: Vec::with_capacity(rows.len()),
+                    ..RowChunk::default()
+                };
+                for i in rows {
+                    self.row(row_at(i), scratch);
+                    chunk.lens.push(scratch.row.len() as u32);
+                    chunk.cols.extend(scratch.row.iter().map(|&(c, _)| c));
+                    chunk.vals.extend(scratch.row.iter().map(|&(_, w)| w));
+                }
+                // Every chunk lives until the stitch, so the growth slack
+                // is returned here and transient memory tracks `nnz`. The
+                // chunk is sized by the rows actually walked, never by
+                // `top_k`: that value comes from the caller (and the wire)
+                // unchecked, and any value at or above a row's length
+                // simply means "keep the row".
+                chunk.cols.shrink_to_fit();
+                chunk.vals.shrink_to_fit();
+                chunk
+            },
+        );
+        (!stopped.load(Ordering::Relaxed)).then_some(chunks)
     }
 }
 
@@ -218,20 +331,23 @@ impl InfluenceRows {
     ///
     /// When `top_k > 0`, each row keeps only its `top_k` heaviest entries
     /// (ties toward the smaller column id) **before** Eq. 8 normalization;
-    /// `0` is off.
+    /// `0` is off. The kept set is selected in linear time, and because
+    /// the tie-broken order is strict the rows equal a full sort's bit
+    /// for bit.
     ///
-    /// Runs over `threads` workers (`0` = auto). Every row `v` is
-    /// scatter-gathered start to finish by exactly one worker with
-    /// thread-local scratch, and each worker's flat chunk is stitched into
-    /// the CSR in rank (= row) order, so the rows are bit-identical at any
-    /// thread count.
+    /// Runs over `threads` workers (`0` = auto) that claim 64-row blocks
+    /// from a shared cursor, so hub-heavy id ranges spread over every
+    /// worker. Every row `v` is scatter-gathered start to finish by one
+    /// worker with thread-local scratch, and the per-block flat chunks are
+    /// stitched into the CSR in block (= row) order, so the rows are
+    /// bit-identical at any thread count.
     ///
-    /// `stop` is a cooperative probe polled by every worker once per
-    /// **block of rows** (each row is a full scatter-gather walk — the
-    /// natural unit of work). Returns `None` as soon as any worker observes
-    /// it; the partially filled chunks are discarded, never stitched, so a
-    /// cancelled build cannot tear the artifact. A probe that always
-    /// returns `false` never changes the rows.
+    /// `stop` is a cooperative probe polled once per **block of rows**
+    /// (each row is a full scatter-gather walk — the natural unit of
+    /// work). Returns `None` as soon as any block observes it; the chunks
+    /// walked so far are discarded, never stitched, so a cancelled build
+    /// cannot tear the artifact. A probe that always returns `false` never
+    /// changes the rows.
     ///
     /// # Panics
     /// Panics if `t` is not square or `weights` is empty.
@@ -243,69 +359,18 @@ impl InfluenceRows {
         threads: usize,
         stop: &(dyn Fn() -> bool + Sync),
     ) -> Option<Self> {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        /// Rows each worker processes between probe polls: large enough
-        /// that polling cost vanishes, small enough that cancellation is
-        /// observed within milliseconds on real graphs.
-        const ROW_BLOCK: usize = 64;
-
         assert_eq!(t.rows(), t.cols(), "transition matrix must be square");
         assert!(!weights.is_empty(), "need at least the T^0 weight");
-        let k = weights.len() - 1;
         let n = t.rows();
-        let threads = par::resolve_threads(threads).max(1);
-        let chunk = n.div_ceil(threads).max(1);
-        let mut chunks: Vec<RowChunk> = (0..threads).map(|_| RowChunk::default()).collect();
-        let out = SendPtr(chunks.as_mut_ptr());
-        let stopped = AtomicBool::new(false);
-        crossbeam::thread::scope(|scope| {
-            for tix in 0..threads {
-                let start = tix * chunk;
-                let end = ((tix + 1) * chunk).min(n);
-                if start >= end {
-                    break;
-                }
-                #[allow(clippy::redundant_locals)]
-                let out = out;
-                let stopped = &stopped;
-                scope.spawn(move |_| {
-                    // Rebind the wrapper so the closure captures `SendPtr`
-                    // itself rather than its raw-pointer field (edition-2021
-                    // disjoint capture would otherwise strip the Send impl).
-                    #[allow(clippy::redundant_locals)]
-                    let out = out;
-                    // SAFETY: each worker writes exclusively its own chunk
-                    // index, and `chunks` outlives the scope.
-                    let local = unsafe { &mut *out.0.add(tix) };
-                    local.lens.reserve(end - start);
-                    // Per-thread walk scratch; `row` assembles one row
-                    // before it is appended to the flat chunk.
-                    let mut scratch = WalkScratch::new(n);
-                    let mut row: Vec<(u32, f32)> = Vec::new();
-                    for v in start..end {
-                        if (v - start) % ROW_BLOCK == 0
-                            && (stopped.load(Ordering::Relaxed) || stop())
-                        {
-                            stopped.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        walk_row(t, weights, eps, top_k, v, &mut scratch, &mut row);
-                        local.lens.push(row.len() as u32);
-                        for &(c, w) in &row {
-                            local.cols.push(c);
-                            local.vals.push(w);
-                        }
-                    }
-                });
-            }
-        })
-        .expect("influence worker panicked");
-        if stopped.load(Ordering::Relaxed) {
-            return None;
-        }
-        // Stitch the per-worker chunks in rank order (= row order) into
-        // one flat CSR triple. Pure memcpy; no float is touched, so the
+        let walk = Walk {
+            t,
+            weights,
+            eps,
+            top_k,
+        };
+        let chunks = walk.blocks(threads, n, |v| v, stop)?;
+        // Stitch the block chunks in block order (= row order) into one
+        // flat CSR triple. Pure memcpy; no float is touched, so the
         // stitched layout is bit-identical at any thread count.
         let nnz: usize = chunks.iter().map(|c| c.cols.len()).sum();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -325,7 +390,7 @@ impl InfluenceRows {
             offsets,
             cols,
             vals,
-            k,
+            k: weights.len() - 1,
         })
     }
 
@@ -450,11 +515,12 @@ impl InfluenceRows {
     /// transition matrix `t` and splice them between the untouched row
     /// slices of `self`.
     ///
-    /// The dirty rows run through the same `walk_row` routine the cold
-    /// builders use — same scatter/gather order, same ε-pruning, same
-    /// `top_k` truncation and L1 normalization — so a row rebuilt here is
-    /// byte-identical to the row a cold [`InfluenceRows::compute_weighted`]
-    /// over `t` with `kernel_power_weights(kernel)` would produce.
+    /// The dirty rows run through the same block driver as the cold
+    /// builder — same per-row walk, same ε-pruning, same `top_k`
+    /// selection and L1 normalization — over `threads` workers (`0` =
+    /// auto), so a row rebuilt here is byte-identical to the row a cold
+    /// [`InfluenceRows::compute_weighted`] over `t` with
+    /// `kernel_power_weights(kernel)` would produce, at any thread count.
     /// Clean rows are `memcpy`d from `self`, which is valid whenever
     /// `dirty` is a superset of the rows whose ε-pruned walk neighborhoods
     /// changed.
@@ -469,6 +535,7 @@ impl InfluenceRows {
         eps: f32,
         top_k: usize,
         dirty: &[u32],
+        threads: usize,
     ) -> Self {
         let n = self.num_nodes();
         assert_eq!(t.rows(), t.cols(), "transition matrix must be square");
@@ -490,13 +557,22 @@ impl InfluenceRows {
             return self.clone();
         }
 
+        let walk = Walk {
+            t,
+            weights: &weights,
+            eps,
+            top_k,
+        };
+        let chunks = walk
+            .blocks(threads, dirty.len(), |i| dirty[i] as usize, &|| false)
+            .expect("a never-stopping probe cannot cancel the patch");
+        let mut rebuilt = chunks.iter().flat_map(RowChunk::rows);
+
         let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut cols: Vec<u32> = Vec::with_capacity(self.cols.len());
         let mut vals: Vec<f32> = Vec::with_capacity(self.vals.len());
-        let mut scratch = WalkScratch::new(n);
-        let mut row: Vec<(u32, f32)> = Vec::new();
-        // Walk the clean run before each dirty row (bulk copy), then the
+        // Copy the clean run before each dirty row (bulk copy), then the
         // rebuilt dirty row itself; `cursor` tracks the first uncopied row.
         let mut cursor = 0usize;
         let flush_clean = |upto: usize,
@@ -518,13 +594,11 @@ impl InfluenceRows {
         for &d in dirty {
             let d = d as usize;
             flush_clean(d, &mut cols, &mut vals, &mut offsets, &mut cursor);
-            walk_row(t, &weights, eps, top_k, d, &mut scratch, &mut row);
-            for &(c, w) in &row {
-                cols.push(c);
-                vals.push(w);
-            }
+            let (row_cols, row_vals) = rebuilt.next().expect("one rebuilt row per dirty row");
+            cols.extend_from_slice(row_cols);
+            vals.extend_from_slice(row_vals);
             let last = *offsets.last().expect("offsets non-empty");
-            offsets.push(last + row.len());
+            offsets.push(last + row_cols.len());
             cursor = d + 1;
         }
         flush_clean(n, &mut cols, &mut vals, &mut offsets, &mut cursor);
@@ -769,12 +843,116 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let g = generators::erdos_renyi_gnm(60, 150, 4);
+        // 600 rows are ten blocks, so every count splits them differently.
+        let g = generators::erdos_renyi_gnm(600, 1500, 4);
         let t = rw(&g);
         let a = InfluenceRows::compute(&t, 2, 1e-4);
-        let b = InfluenceRows::compute(&t, 2, 1e-4);
-        for v in 0..60 {
-            assert_eq!(a.row(v), b.row(v));
+        for threads in [1usize, 2, 5] {
+            let b = weighted(&t, &[0.0, 0.0, 1.0], 1e-4, 0, threads);
+            assert_eq!(a.offsets, b.offsets, "{threads} threads");
+            assert_eq!(a.cols, b.cols, "{threads} threads");
+            assert_eq!(bits(&a.vals), bits(&b.vals), "{threads} threads");
+        }
+    }
+
+    /// FNV-1a over the offsets (as `u64`), columns and value bits, in
+    /// that order.
+    fn fnv_hash(rows: &InfluenceRows) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        rows.offsets
+            .iter()
+            .for_each(|&o| eat(&(o as u64).to_le_bytes()));
+        rows.cols.iter().for_each(|&c| eat(&c.to_le_bytes()));
+        rows.vals
+            .iter()
+            .for_each(|&v| eat(&v.to_bits().to_le_bytes()));
+        h
+    }
+
+    fn bits(vals: &[f32]) -> Vec<u32> {
+        vals.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The rows of a hub-heavy preferential-attachment graph, pinned. The
+    /// hashes were computed by the static-split, full-sort builder that
+    /// preceded the block driver and the linear-time top-k.
+    #[test]
+    fn hub_heavy_rows_match_pinned_hashes() {
+        let g = generators::barabasi_albert(20_000, 4, 7);
+        let t = rw(&g);
+        let weights = kernel_power_weights(Kernel::RandomWalk { k: 2 });
+        // (top_k, hash, nnz)
+        let pinned = [
+            (0usize, 0x8e4b_a412_37f7_49dd_u64, 3_794_192usize),
+            (32, 0xa1a0_0fb2_8f56_ce99, 638_678),
+        ];
+        for (top_k, hash, nnz) in pinned {
+            for threads in [1usize, 2, 5] {
+                let rows = weighted(&t, &weights, 1e-4, top_k, threads);
+                assert_eq!(
+                    (fnv_hash(&rows), rows.nnz()),
+                    (hash, nnz),
+                    "top_k {top_k} threads {threads}"
+                );
+            }
+        }
+    }
+
+    /// Every row of a ring lattice holds its `2·3 + 1` entries at one
+    /// equal weight, so truncation is decided by the column tie-break
+    /// alone; `top_k` straddles the row length on both sides.
+    #[test]
+    fn top_k_selection_matches_full_sort_on_pure_ties() {
+        let n = 300u32;
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|v| (1..=3).map(move |d| (v, (v + d) % n)))
+            .collect();
+        let g = Graph::from_edges(n as usize, &edges);
+        let t = rw(&g);
+        let weights = [0.0f32, 1.0];
+        let len = 7usize;
+        for top_k in [1, len - 1, len, len + 1] {
+            let nested = reference_nested(&t, &weights, 0.0, top_k);
+            assert!(nested.iter().all(|row| row.len() == top_k.min(len)));
+            for threads in [1usize, 2, 5] {
+                let csr = weighted(&t, &weights, 0.0, top_k, threads);
+                assert_matches_nested(&csr, &nested);
+            }
+        }
+    }
+
+    #[test]
+    fn probe_tripping_after_n_polls_returns_none() {
+        use std::sync::atomic::AtomicUsize;
+        let g = generators::barabasi_albert(1_000, 3, 23);
+        let t = rw(&g);
+        let weights = kernel_power_weights(Kernel::RandomWalk { k: 2 });
+        let blocks = 1_000usize.div_ceil(ROW_BLOCK);
+        for threads in [1usize, 2, 5] {
+            // An untripped probe is polled exactly once per block.
+            let polls = AtomicUsize::new(0);
+            let probe = || {
+                polls.fetch_add(1, Ordering::Relaxed);
+                false
+            };
+            assert!(
+                InfluenceRows::compute_weighted(&t, &weights, 1e-4, 8, threads, &probe).is_some()
+            );
+            assert_eq!(polls.load(Ordering::Relaxed), blocks, "{threads} threads");
+            for trip_after in [0usize, 3, blocks - 1] {
+                let polls = AtomicUsize::new(0);
+                let probe = || polls.fetch_add(1, Ordering::Relaxed) >= trip_after;
+                assert!(
+                    InfluenceRows::compute_weighted(&t, &weights, 1e-4, 8, threads, &probe)
+                        .is_none(),
+                    "a probe tripping after {trip_after} polls at {threads} threads"
+                );
+            }
         }
     }
 
@@ -851,16 +1029,34 @@ mod tests {
         }
     }
 
+    /// `top_k` reaches the builder unchecked (from the config, and from the
+    /// network edge's wire decoder), so any value at or beyond a row's
+    /// length must keep every row whole on the cold build and the patch
+    /// alike, and must never size an allocation.
     #[test]
     fn top_k_zero_and_oversized_top_k_change_nothing() {
         let g = generators::barabasi_albert(150, 3, 13);
         let t = rw(&g);
+        let kernel = Kernel::RandomWalk { k: 2 };
         let plain = InfluenceRows::compute(&t, 2, 1e-4);
         let zero = weighted(&t, &[0.0, 0.0, 1.0], 1e-4, 0, 0);
         let huge = weighted(&t, &[0.0, 0.0, 1.0], 1e-4, 10_000, 0);
         for v in 0..150 {
             assert_eq!(plain.row(v), zero.row(v), "row {v} (top_k = 0)");
             assert_eq!(plain.row(v), huge.row(v), "row {v} (oversized top_k)");
+        }
+        let dirty: Vec<u32> = (0..150).step_by(2).collect();
+        for threads in [1usize, 2, 5] {
+            for top_k in [150, u32::MAX as usize, usize::MAX] {
+                let at = format!("top_k {top_k}, {threads} threads");
+                let built = weighted(&t, &[0.0, 0.0, 1.0], 1e-4, top_k, threads);
+                let patched = plain.with_rebuilt_rows(&t, kernel, 1e-4, top_k, &dirty, threads);
+                for rows in [&built, &patched] {
+                    assert_eq!(rows.offsets, plain.offsets, "{at}");
+                    assert_eq!(rows.cols, plain.cols, "{at}");
+                    assert_eq!(bits(&rows.vals), bits(&plain.vals), "{at}");
+                }
+            }
         }
     }
 
@@ -889,9 +1085,10 @@ mod tests {
 
     /// Splice-rebuilding the dirty rows after an edge edit must reproduce
     /// the cold build over the mutated graph byte-for-byte, for every
-    /// kernel and with/without top-k truncation. The dirty set is the
-    /// (k+1)-hop ball around the edited endpoints under the *new*
-    /// adjacency — a superset of the rows whose walk neighborhoods moved.
+    /// kernel, with/without top-k truncation and at every thread count.
+    /// The dirty set is the (k+1)-hop ball around the edited endpoints
+    /// under the *new* adjacency — a superset of the rows whose walk
+    /// neighborhoods moved — and spans several 64-row blocks.
     #[test]
     fn rebuilt_rows_match_cold_build_after_edits() {
         let g = generators::erdos_renyi_gnm(160, 480, 9);
@@ -913,18 +1110,17 @@ mod tests {
                 let t_old = transition_matrix(&g, kind, true);
                 let t_new = transition_matrix(&g2, kind, true);
                 let dirty = grain_graph::k_hop_ball(&g2, &endpoints, depth + 1);
+                assert!(dirty.len() > 2 * ROW_BLOCK, "{} dirty rows", dirty.len());
                 for top_k in [0usize, 4] {
                     let old = for_kernel(&t_old, kernel, 1e-4, top_k, 1);
                     let cold = for_kernel(&t_new, kernel, 1e-4, top_k, 1);
-                    let patched = old.with_rebuilt_rows(&t_new, kernel, 1e-4, top_k, &dirty);
-                    assert_eq!(patched.offsets, cold.offsets, "{kernel:?}/{kind:?}/{top_k}");
-                    assert_eq!(patched.cols, cold.cols, "{kernel:?}/{kind:?}/{top_k}");
-                    for (a, b) in patched.vals.iter().zip(&cold.vals) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "value bits diverged ({kernel:?}/{kind:?}/top_k={top_k})"
-                        );
+                    for threads in [1usize, 2, 5] {
+                        let patched =
+                            old.with_rebuilt_rows(&t_new, kernel, 1e-4, top_k, &dirty, threads);
+                        let at = format!("{kernel:?}/{kind:?}/top_k={top_k}/{threads} threads");
+                        assert_eq!(patched.offsets, cold.offsets, "{at}");
+                        assert_eq!(patched.cols, cold.cols, "{at}");
+                        assert_eq!(bits(&patched.vals), bits(&cold.vals), "{at}");
                     }
                 }
             }
@@ -936,7 +1132,7 @@ mod tests {
         let g = generators::barabasi_albert(120, 3, 5);
         let t = rw(&g);
         let rows = InfluenceRows::compute(&t, 2, 1e-4);
-        let same = rows.with_rebuilt_rows(&t, Kernel::RandomWalk { k: 2 }, 1e-4, 0, &[]);
+        let same = rows.with_rebuilt_rows(&t, Kernel::RandomWalk { k: 2 }, 1e-4, 0, &[], 0);
         assert_eq!(rows.offsets, same.offsets);
         assert_eq!(rows.cols, same.cols);
         assert_eq!(rows.vals, same.vals);
@@ -948,6 +1144,6 @@ mod tests {
         let g = generators::erdos_renyi_gnm(40, 80, 2);
         let t = rw(&g);
         let rows = InfluenceRows::compute(&t, 2, 1e-4);
-        let _ = rows.with_rebuilt_rows(&t, Kernel::RandomWalk { k: 3 }, 1e-4, 0, &[1]);
+        let _ = rows.with_rebuilt_rows(&t, Kernel::RandomWalk { k: 3 }, 1e-4, 0, &[1], 0);
     }
 }

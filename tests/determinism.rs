@@ -32,18 +32,23 @@ fn grain_selection_is_deterministic() {
 
 #[test]
 fn selection_is_thread_count_invariant() {
-    // GRAIN_THREADS=1 must give the same selection as the default count.
+    // One worker must give the same selection as the default count. The
+    // count goes through `parallelism`, which every engine stage honours,
+    // rather than the process-wide `GRAIN_THREADS`, which would leak into
+    // the tests running beside this one.
     let ds = grain::data::synthetic::papers_like(800, 6);
-    let one_shot = || {
-        SelectionEngine::new(GrainConfig::ball_d(), &ds.graph, &ds.features)
+    let one_shot = |parallelism: usize| {
+        let config = GrainConfig {
+            parallelism,
+            ..GrainConfig::ball_d()
+        };
+        SelectionEngine::new(config, &ds.graph, &ds.features)
             .unwrap()
             .select(&ds.split.train, 15)
             .selected
     };
-    let multi = one_shot();
-    std::env::set_var("GRAIN_THREADS", "1");
-    let single = one_shot();
-    std::env::remove_var("GRAIN_THREADS");
+    let multi = one_shot(0);
+    let single = one_shot(1);
     assert_eq!(multi, single);
 }
 
