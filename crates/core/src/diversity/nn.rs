@@ -96,9 +96,13 @@ impl DiversityFunction for NnDiversity {
         }
         let n = self.embedding.rows();
         // Parallel over nodes: the reduction sum is independent per node.
-        let gains = grain_linalg::par::par_map_with(self.threads, n, 64, |w| {
-            self.reduction_at(w, newly_activated)
-        });
+        let gains = grain_linalg::par::map(
+            self.threads,
+            n,
+            64,
+            || (),
+            |(), w| self.reduction_at(w, newly_activated),
+        );
         gains.into_iter().sum()
     }
 

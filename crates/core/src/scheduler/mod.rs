@@ -156,11 +156,11 @@ use crate::error::{DeadlineStage, GrainError, GrainResult};
 use crate::fault;
 use crate::pool::PoolEvent;
 use crate::service::{GrainService, SelectionReport, SelectionRequest};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, TryRecvError};
 use grain_linalg::par;
 use queue::{Admission, DispatchQueue, Waiter, WaiterHandle};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -300,7 +300,9 @@ impl From<SelectionRequest> for ScheduledRequest {
 /// detaches this waiter, and the run is cancelled once its *last* waiter
 /// has done so.
 pub struct Ticket {
-    rx: Receiver<GrainResult<SelectionReport>>,
+    /// Read only through [`Mutex::get_mut`] (every wait takes `self`), so
+    /// the lock is never taken; it only makes the `!Sync` receiver `Sync`.
+    rx: Mutex<Receiver<GrainResult<SelectionReport>>>,
     /// `None` only for channel-only tickets built in tests.
     cancel: Option<TicketCancel>,
 }
@@ -413,6 +415,10 @@ impl Ticket {
         }
     }
 
+    fn rx(&mut self) -> &Receiver<GrainResult<SelectionReport>> {
+        self.rx.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn is_cancelled(&self) -> bool {
         self.cancel
             .as_ref()
@@ -428,11 +434,11 @@ impl Ticket {
     /// [`GrainError::Cancelled`] after [`Ticket::cancel`], and
     /// [`GrainError::SchedulerShutdown`] if the scheduler was dropped
     /// before answering.
-    pub fn wait(self) -> GrainResult<SelectionReport> {
+    pub fn wait(mut self) -> GrainResult<SelectionReport> {
         if self.is_cancelled() {
             return Err(GrainError::Cancelled);
         }
-        match self.rx.recv() {
+        match self.rx().recv() {
             Ok(result) => result,
             Err(_) => Err(GrainError::SchedulerShutdown),
         }
@@ -472,11 +478,11 @@ impl Ticket {
     /// assert_eq!(ticket.wait()?.outcome().selected.len(), 5);
     /// # Ok::<(), grain_core::GrainError>(())
     /// ```
-    pub fn wait_timeout(self, timeout: Duration) -> Result<GrainResult<SelectionReport>, Self> {
+    pub fn wait_timeout(mut self, timeout: Duration) -> Result<GrainResult<SelectionReport>, Self> {
         if self.is_cancelled() {
             return Ok(Err(GrainError::Cancelled));
         }
-        match self.rx.recv_timeout(timeout) {
+        match self.rx().recv_timeout(timeout) {
             Ok(result) => Ok(result),
             Err(RecvTimeoutError::Disconnected) => Ok(Err(GrainError::SchedulerShutdown)),
             Err(RecvTimeoutError::Timeout) => Err(self),
@@ -488,11 +494,11 @@ impl Ticket {
     ///
     /// # Errors
     /// As for [`Ticket::wait`], inside the `Ok` arm.
-    pub fn try_wait(self) -> Result<GrainResult<SelectionReport>, Self> {
+    pub fn try_wait(mut self) -> Result<GrainResult<SelectionReport>, Self> {
         if self.is_cancelled() {
             return Ok(Err(GrainError::Cancelled));
         }
-        match self.rx.try_recv() {
+        match self.rx().try_recv() {
             Ok(result) => Ok(result),
             Err(TryRecvError::Disconnected) => Ok(Err(GrainError::SchedulerShutdown)),
             Err(TryRecvError::Empty) => Err(self),
@@ -702,7 +708,7 @@ impl Scheduler {
         // Resolve the tenant's counter block once; the waiter and ticket
         // carry it so every later bump is a bare atomic increment.
         let tenant_counters = tenant.as_ref().map(|t| self.inner.tenants.get(t));
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let waiter = Waiter {
             tx,
             deadline,
@@ -771,7 +777,7 @@ impl Scheduler {
         tenant: Option<Arc<TenantCounters>>,
     ) -> Ticket {
         Ticket {
-            rx,
+            rx: Mutex::new(rx),
             cancel: Some(TicketCancel {
                 state: handle.cancel,
                 cancelled: handle.cancelled,
@@ -880,7 +886,7 @@ impl Drop for Scheduler {
 /// abandonment instead; workers never block on it.
 fn deliver(
     inner: &Inner,
-    tx: &crossbeam::channel::Sender<GrainResult<SelectionReport>>,
+    tx: &SyncSender<GrainResult<SelectionReport>>,
     payload: GrainResult<SelectionReport>,
 ) {
     SchedCounters::bump(&inner.counters.delivered);
@@ -1161,9 +1167,12 @@ mod tests {
         scheduler.shutdown();
         // Workers have exited (or will); a ticket whose channel sender is
         // dropped resolves SchedulerShutdown instead of hanging.
-        let (tx, rx) = bounded::<GrainResult<SelectionReport>>(1);
+        let (tx, rx) = sync_channel::<GrainResult<SelectionReport>>(1);
         drop(tx);
-        let orphan = Ticket { rx, cancel: None };
+        let orphan = Ticket {
+            rx: Mutex::new(rx),
+            cancel: None,
+        };
         assert_eq!(orphan.wait().unwrap_err(), GrainError::SchedulerShutdown);
     }
 

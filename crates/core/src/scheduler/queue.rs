@@ -47,11 +47,11 @@ use super::tenant::TenantCounters;
 use crate::cancel::{CancelCause, CancelToken, OnDeadline};
 use crate::error::GrainResult;
 use crate::service::{Budget, SelectionReport, SelectionRequest};
-use crossbeam::channel::Sender;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,7 +60,7 @@ use std::time::Instant;
 /// (waiters coalesced onto one slot keep individual deadlines and
 /// policies; triage and fan-out are per waiter).
 pub(super) struct Waiter {
-    pub(super) tx: Sender<GrainResult<SelectionReport>>,
+    pub(super) tx: SyncSender<GrainResult<SelectionReport>>,
     pub(super) deadline: Option<Instant>,
     /// Set by [`super::Ticket::cancel`]; triage and fan-out skip
     /// cancelled waiters (the ticket already resolved itself).
@@ -692,7 +692,7 @@ mod tests {
     use super::*;
     use crate::config::GrainConfig;
     use crate::service::Budget;
-    use crossbeam::channel::{bounded, Receiver};
+    use std::sync::mpsc::{sync_channel, Receiver};
     use std::time::Duration;
 
     fn request(graph: &str, budget: usize) -> SelectionRequest {
@@ -700,14 +700,14 @@ mod tests {
     }
 
     fn waiter() -> (
-        Sender<GrainResult<SelectionReport>>,
+        SyncSender<GrainResult<SelectionReport>>,
         Receiver<GrainResult<SelectionReport>>,
     ) {
-        bounded(1)
+        sync_channel(1)
     }
 
     fn make_waiter(
-        tx: Sender<GrainResult<SelectionReport>>,
+        tx: SyncSender<GrainResult<SelectionReport>>,
         deadline: Option<Instant>,
         on_deadline: OnDeadline,
     ) -> Waiter {
@@ -752,7 +752,7 @@ mod tests {
     fn admit_capped(
         q: &mut DispatchQueue,
         r: &SelectionRequest,
-        tx: Sender<GrainResult<SelectionReport>>,
+        tx: SyncSender<GrainResult<SelectionReport>>,
         capacity: usize,
     ) -> Admission {
         q.admit(

@@ -831,35 +831,26 @@ impl GrainService {
             });
             groups[group].push(i);
         }
-        let workers = par::resolve_threads(workers).min(groups.len()).max(1);
-        if workers <= 1 {
+        if par::resolve_threads(workers) <= 1 {
+            // One worker answers in submission order.
             return (0..n).map(answer).collect();
         }
+        let answered = par::map(
+            workers,
+            groups.len(),
+            1,
+            || (),
+            |(), g| {
+                groups[g]
+                    .iter()
+                    .map(|&i| (i, answer(i)))
+                    .collect::<Vec<_>>()
+            },
+        );
         let mut slots: Vec<Option<GrainResult<SelectionReport>>> = (0..n).map(|_| None).collect();
-        let groups = &groups;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move |_| {
-                        let mut answered = Vec::new();
-                        let mut g = w;
-                        while g < groups.len() {
-                            for &i in &groups[g] {
-                                answered.push((i, answer(i)));
-                            }
-                            g += workers;
-                        }
-                        answered
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, report) in handle.join().expect("batch worker panicked") {
-                    slots[i] = Some(report);
-                }
-            }
-        })
-        .expect("batch scope panicked");
+        for (i, report) in answered.into_iter().flatten() {
+            slots[i] = Some(report);
+        }
         slots
             .into_iter()
             .map(|slot| slot.expect("every request lands in exactly one group"))

@@ -5,7 +5,7 @@
 //! papers100M-style scaling experiments. Rows keep their column indices
 //! sorted, which the triangle-counting intersection relies on.
 
-use grain_linalg::par::{self, SendPtr};
+use grain_linalg::par;
 use grain_linalg::DenseMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -279,36 +279,41 @@ impl CsrMatrix {
         );
         let n = rhs.cols();
         let mut out = DenseMatrix::zeros(self.rows, n);
-        let ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-        par::for_each_chunk_with(threads, self.rows, 64, |start, end| {
-            // Rebind so the closure captures the SendPtr wrapper, not its
-            // raw-pointer field (edition-2021 disjoint capture).
-            #[allow(clippy::redundant_locals)]
-            let ptr = ptr;
-            for r in start..end {
-                // SAFETY: output rows are disjoint per thread chunk.
-                let out_row = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(r * n), n) };
-                let (idx, vals) = self.row(r);
-                for (&c, &w) in idx.iter().zip(vals) {
-                    if w == 0.0 {
-                        continue;
-                    }
-                    for (o, &x) in out_row.iter_mut().zip(rhs.row(c as usize)) {
-                        *o += w * x;
+        par::for_each_block_mut(
+            threads,
+            out.as_mut_slice(),
+            64 * n,
+            || (),
+            |(), b, rows| {
+                for (r, out_row) in (b * 64..).zip(rows.chunks_exact_mut(n)) {
+                    let (idx, vals) = self.row(r);
+                    for (&c, &w) in idx.iter().zip(vals) {
+                        if w == 0.0 {
+                            continue;
+                        }
+                        for (o, &x) in out_row.iter_mut().zip(rhs.row(c as usize)) {
+                            *o += w * x;
+                        }
                     }
                 }
-            }
-        });
+            },
+        );
         out
     }
 
     /// Sparse × dense-vector product `self * x`.
     pub fn spmv(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(self.cols, x.len(), "spmv: dimension mismatch");
-        par::par_map(self.rows, 256, |r| {
-            let (idx, vals) = self.row(r);
-            idx.iter().zip(vals).map(|(&c, &w)| w * x[c as usize]).sum()
-        })
+        par::map(
+            0,
+            self.rows,
+            256,
+            || (),
+            |(), r| {
+                let (idx, vals) = self.row(r);
+                idx.iter().zip(vals).map(|(&c, &w)| w * x[c as usize]).sum()
+            },
+        )
     }
 
     /// Iterator over `(row, col, value)` of all stored entries.

@@ -39,19 +39,25 @@ pub fn sorted_intersection_count(a: &[u32], b: &[u32]) -> usize {
 /// the walk lazily in place instead, see DESIGN.md).
 pub fn triangle_adjacency(g: &Graph) -> CsrMatrix {
     let n = g.num_nodes();
-    let rows: Vec<Vec<(u32, f32)>> = par::par_map(n, 16, |u| {
-        let nu = g.neighbors(u);
-        let mut row = Vec::with_capacity(nu.len() + 1);
-        for &v in nu {
-            let c = sorted_intersection_count(nu, g.neighbors(v as usize));
-            if c > 0 {
-                row.push((v, c as f32));
+    let rows: Vec<Vec<(u32, f32)>> = par::map(
+        0,
+        n,
+        16,
+        || (),
+        |(), u| {
+            let nu = g.neighbors(u);
+            let mut row = Vec::with_capacity(nu.len() + 1);
+            for &v in nu {
+                let c = sorted_intersection_count(nu, g.neighbors(v as usize));
+                if c > 0 {
+                    row.push((v, c as f32));
+                }
             }
-        }
-        row.push((u as u32, 1.0));
-        row.sort_unstable_by_key(|&(c, _)| c);
-        row
-    });
+            row.push((u as u32, 1.0));
+            row.sort_unstable_by_key(|&(c, _)| c);
+            row
+        },
+    );
     let mut triplets = Vec::with_capacity(rows.iter().map(Vec::len).sum());
     for (u, row) in rows.iter().enumerate() {
         for &(v, w) in row {
@@ -64,33 +70,39 @@ pub fn triangle_adjacency(g: &Graph) -> CsrMatrix {
 /// Total triangle count of the graph.
 pub fn count_triangles(g: &Graph) -> u64 {
     let n = g.num_nodes();
-    let per_node: Vec<u64> = par::par_map(n, 16, |u| {
-        let nu = g.neighbors(u);
-        let mut c = 0u64;
-        for &v in nu {
-            if (v as usize) > u {
-                // Only count each triangle once via its smallest vertex order:
-                // common neighbors w > v of the ordered pair (u, v).
-                let nv = g.neighbors(v as usize);
-                let mut i = 0;
-                let mut j = 0;
-                while i < nu.len() && j < nv.len() {
-                    match nu[i].cmp(&nv[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            if nu[i] > v {
-                                c += 1;
+    let per_node: Vec<u64> = par::map(
+        0,
+        n,
+        16,
+        || (),
+        |(), u| {
+            let nu = g.neighbors(u);
+            let mut c = 0u64;
+            for &v in nu {
+                if (v as usize) > u {
+                    // Only count each triangle once via its smallest vertex order:
+                    // common neighbors w > v of the ordered pair (u, v).
+                    let nv = g.neighbors(v as usize);
+                    let mut i = 0;
+                    let mut j = 0;
+                    while i < nu.len() && j < nv.len() {
+                        match nu[i].cmp(&nv[j]) {
+                            std::cmp::Ordering::Less => i += 1,
+                            std::cmp::Ordering::Greater => j += 1,
+                            std::cmp::Ordering::Equal => {
+                                if nu[i] > v {
+                                    c += 1;
+                                }
+                                i += 1;
+                                j += 1;
                             }
-                            i += 1;
-                            j += 1;
                         }
                     }
                 }
             }
-        }
-        c
-    });
+            c
+        },
+    );
     per_node.iter().sum()
 }
 

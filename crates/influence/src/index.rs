@@ -12,6 +12,10 @@ use crate::walk::InfluenceRows;
 use grain_linalg::par;
 use serde::{Deserialize, Serialize};
 
+/// Nodes per block of the parallel threshold scan in
+/// [`ActivationIndex::build`].
+const NODE_BLOCK: usize = 1024;
+
 /// How the activation threshold `θ` of Definition 3.2 is interpreted.
 ///
 /// The paper fixes `θ = 0.25` (Appendix A.4) yet reports `|σ(S)|` in the
@@ -77,11 +81,11 @@ impl ActivationIndex {
     /// `ThetaRule::FixedAbsolute` is Eq. 8 / Definition 3.2 verbatim.
     ///
     /// Determinism: workers extract the qualifying `(seed, node)` pairs
-    /// of contiguous `v`-ranges in parallel (the threshold scan is the
-    /// bulk of the work), then one sequential counting-sort pass places
-    /// every pair. Within a range `v` ascends and ranges are placed in
-    /// ascending order, so every `act[u]` list comes out sorted by `v`
-    /// and bit-identical at any thread count. Auxiliary memory is
+    /// of fixed `NODE_BLOCK`-node `v`-blocks in parallel (the threshold
+    /// scan is the bulk of the work), then one sequential counting-sort
+    /// pass places every pair. Within a block `v` ascends and blocks are
+    /// placed in ascending order, so every `act[u]` list comes out sorted
+    /// by `v` and bit-identical at any thread count. Auxiliary memory is
     /// proportional to the *output* (one pair per activation) plus one
     /// cursor array — not to `workers × n`.
     pub fn build(rows: &InfluenceRows, rule: ThetaRule, threads: usize) -> Self {
@@ -100,32 +104,30 @@ impl ActivationIndex {
             }
         };
 
-        let workers = par::resolve_threads(threads).max(1).min(n.max(1));
-        let chunk = n.div_ceil(workers.max(1)).max(1);
-        let ranges: Vec<(usize, usize)> = (0..workers)
-            .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-            .filter(|&(s, e)| s < e)
-            .collect();
-
-        // Parallel pass: each range extracts its qualifying
+        // Parallel pass: each node block extracts its qualifying
         // (seed, activated node) pairs, v-ascending.
-        let pairs: Vec<Vec<(u32, u32)>> = par::par_map_with(workers, ranges.len(), 1, |r| {
-            let (start, end) = ranges[r];
-            let mut local = Vec::new();
-            for v in start..end {
-                let cutoff = cutoff_of(v);
-                for (u, w) in rows.row_entries(v) {
-                    if w > cutoff {
-                        local.push((u, v as u32));
+        let pairs: Vec<Vec<(u32, u32)>> = par::map(
+            threads,
+            n.div_ceil(NODE_BLOCK),
+            1,
+            || (),
+            |(), b| {
+                let mut local = Vec::new();
+                for v in b * NODE_BLOCK..((b + 1) * NODE_BLOCK).min(n) {
+                    let cutoff = cutoff_of(v);
+                    for (u, w) in rows.row_entries(v) {
+                        if w > cutoff {
+                            local.push((u, v as u32));
+                        }
                     }
                 }
-            }
-            local
-        });
+                local
+            },
+        );
 
         // Sequential counting sort over the pairs, O(activations + n):
-        // count per seed, prefix into offsets, then place each range's
-        // pairs in range order so per-seed lists stay v-ascending.
+        // count per seed, prefix into offsets, then place each block's
+        // pairs in block order so per-seed lists stay v-ascending.
         let mut offsets = vec![0usize; n + 1];
         for list in &pairs {
             for &(u, _) in list {

@@ -24,8 +24,8 @@
 //! The cold build ([`InfluenceRows::compute_weighted`]) and the streaming
 //! patch ([`InfluenceRows::with_rebuilt_rows`]) run one private driver
 //! over a list of rows — `0..n`, or the dirty rows. It cuts the list into
-//! fixed 64-row blocks that workers claim from a shared cursor
-//! (`par::map_dynamic_with`), each worker with its own walk scratch, and
+//! fixed 64-row blocks that workers claim one at a time
+//! (`par::map`), each worker with its own walk scratch, and
 //! each block yields one flat chunk. A static split by row count would
 //! leave one worker with the hubs, whose ids cluster low on a
 //! preferential-attachment graph; claiming by block splits by work. The
@@ -243,7 +243,7 @@ impl Walk<'_> {
 
     /// The one walk driver behind the cold build and the streaming patch:
     /// walks rows `row_at(0..len)` in [`ROW_BLOCK`]-row blocks that
-    /// `threads` workers (`0` = auto) claim from a shared cursor, each
+    /// `threads` workers (`0` = auto) claim one at a time, each
     /// with its own [`WalkScratch`], and returns one chunk per block in
     /// block order.
     ///
@@ -266,9 +266,10 @@ impl Walk<'_> {
     ) -> Option<Vec<RowChunk>> {
         let n = self.t.rows();
         let stopped = AtomicBool::new(false);
-        let chunks = par::map_dynamic_with(
+        let chunks = par::map(
             threads,
             len.div_ceil(ROW_BLOCK),
+            1,
             || WalkScratch::new(n),
             |scratch, block| {
                 if stopped.load(Ordering::Relaxed) || stop() {

@@ -29,8 +29,8 @@ pub const LANES: usize = 8;
 /// time; the matrix is never copied whole (ball-D targets n = 1e5).
 const TILE_ROWS: usize = 64;
 
-/// Source rows per unit of scan work. Workers claim blocks from a shared
-/// cursor, so the triangle's long early rows and short late rows balance
+/// Source rows per unit of scan work. Workers claim blocks one at a
+/// time, so the triangle's long early rows and short late rows balance
 /// by work, not by row count.
 const SOURCE_BLOCK: usize = 64;
 
@@ -272,9 +272,10 @@ fn source_block(b: usize, len: usize) -> Range<usize> {
 pub fn radius_neighbors(normed: &DenseMatrix, r: f32, threads: usize) -> BallLists {
     let n = normed.rows();
     let thresh = (2.0 * r) * (2.0 * r);
-    let blocks = par::map_dynamic_with(
+    let blocks = par::map(
         threads,
         n.div_ceil(SOURCE_BLOCK),
+        1,
         || (Vec::new(), vec![Vec::new(); SOURCE_BLOCK]),
         |(tile, upper): &mut (Vec<f32>, Vec<Vec<u32>>), b| {
             let rows = source_block(b, n);
@@ -308,21 +309,27 @@ pub fn radius_neighbors(normed: &DenseMatrix, r: f32, threads: usize) -> BallLis
 /// is empty.
 pub fn min_distance_to_set(points: &DenseMatrix, centers: &DenseMatrix) -> Vec<f32> {
     let n = points.rows();
-    par::par_map(n, 16, |u| {
-        let row = points.row(u);
-        let mut best = f32::INFINITY;
-        for c in 0..centers.rows() {
-            let d = sq_euclidean(row, centers.row(c));
-            if d < best {
-                best = d;
+    par::map(
+        0,
+        n,
+        16,
+        || (),
+        |(), u| {
+            let row = points.row(u);
+            let mut best = f32::INFINITY;
+            for c in 0..centers.rows() {
+                let d = sq_euclidean(row, centers.row(c));
+                if d < best {
+                    best = d;
+                }
             }
-        }
-        if best.is_finite() {
-            best.sqrt() * 0.5
-        } else {
-            best
-        }
-    })
+            if best.is_finite() {
+                best.sqrt() * 0.5
+            } else {
+                best
+            }
+        },
+    )
 }
 
 /// Maximum pairwise [`grain_distance`] over the rows: the `d_max`
@@ -349,9 +356,10 @@ pub fn max_pairwise_distance(normed: &DenseMatrix, exact_limit: usize, threads: 
         let stride = (n / exact_limit.max(16).min(n)).max(1);
         (n.div_ceil(stride), stride, |_| 0)
     };
-    let best = par::map_dynamic_with(
+    let best = par::map(
         threads,
         sources.div_ceil(SOURCE_BLOCK),
+        1,
         Vec::new,
         |tile, b| {
             let mut best = 0.0f32;
@@ -371,19 +379,25 @@ pub fn max_pairwise_distance(normed: &DenseMatrix, exact_limit: usize, threads: 
 /// (squared Euclidean on raw rows, as used by k-means assignment).
 pub fn nearest_center(points: &DenseMatrix, centers: &DenseMatrix) -> Vec<usize> {
     assert!(centers.rows() > 0, "nearest_center: empty center set");
-    par::par_map(points.rows(), 16, |u| {
-        let row = points.row(u);
-        let mut best = 0usize;
-        let mut best_d = f32::INFINITY;
-        for c in 0..centers.rows() {
-            let d = sq_euclidean(row, centers.row(c));
-            if d < best_d {
-                best_d = d;
-                best = c;
+    par::map(
+        0,
+        points.rows(),
+        16,
+        || (),
+        |(), u| {
+            let row = points.row(u);
+            let mut best = 0usize;
+            let mut best_d = f32::INFINITY;
+            for c in 0..centers.rows() {
+                let d = sq_euclidean(row, centers.row(c));
+                if d < best_d {
+                    best_d = d;
+                    best = c;
+                }
             }
-        }
-        best
-    })
+            best
+        },
+    )
 }
 
 #[cfg(test)]

@@ -39,19 +39,25 @@ pub fn kmeans(data: &DenseMatrix, k: usize, max_iter: usize, seed: u64) -> KMean
     for it in 0..max_iter {
         iterations = it + 1;
         // Assignment step (parallel).
-        let assigned = par::par_map(data.rows(), 32, |i| {
-            let row = data.row(i);
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for c in 0..k {
-                let d = sq_euclidean(row, centroids.row(c));
-                if d < best_d {
-                    best_d = d;
-                    best = c;
+        let assigned = par::map(
+            0,
+            data.rows(),
+            32,
+            || (),
+            |(), i| {
+                let row = data.row(i);
+                let mut best = 0usize;
+                let mut best_d = f32::INFINITY;
+                for c in 0..k {
+                    let d = sq_euclidean(row, centroids.row(c));
+                    if d < best_d {
+                        best_d = d;
+                        best = c;
+                    }
                 }
-            }
-            (best, best_d as f64)
-        });
+                (best, best_d as f64)
+            },
+        );
         let new_inertia: f64 = assigned.iter().map(|(_, d)| *d).sum();
         for (i, (c, _)) in assigned.iter().enumerate() {
             assignment[i] = *c;

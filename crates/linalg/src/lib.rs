@@ -13,7 +13,7 @@
 //! * [`kmeans`] — k-means++ clustering used by the AGE baseline's density arm,
 //! * [`pca`] — power-iteration PCA used for the Figure 7 interpretability
 //!   scatter (substitute for t-SNE),
-//! * [`par`] — scoped-thread helpers shared by the whole workspace.
+//! * [`par`] — the one parallel block driver shared by the whole workspace.
 //!
 //! All kernels are deterministic given a seeded RNG, which the reproduction
 //! harness relies on.

@@ -8,6 +8,9 @@
 use crate::dense::DenseMatrix;
 use crate::par;
 
+/// Output rows per block of the GEMM kernels.
+const ROW_BLOCK: usize = 16;
+
 /// `C = A * B`.
 ///
 /// # Panics
@@ -22,33 +25,36 @@ pub fn matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
         b.rows(),
         b.cols()
     );
-    let (m, k) = a.shape();
     let n = b.cols();
-    let mut c = DenseMatrix::zeros(m, n);
-    let c_ptr = SendPtr(c.as_mut_slice().as_mut_ptr());
-    par::for_each_chunk(m, 16, |start, end| {
-        let ptr = c_ptr;
-        for i in start..end {
-            // SAFETY: rows [start, end) are disjoint across threads.
-            let c_row = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(i * n), n) };
-            let a_row = a.row(i);
-            for (kk, &aik) in a_row.iter().enumerate().take(k) {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = b.row(kk);
-                for (cj, &bj) in c_row.iter_mut().zip(b_row.iter()) {
-                    *cj += aik * bj;
+    let mut c = DenseMatrix::zeros(a.rows(), n);
+    par::for_each_block_mut(
+        0,
+        c.as_mut_slice(),
+        ROW_BLOCK * n,
+        || (),
+        |(), blk, rows| {
+            for (i, c_row) in (blk * ROW_BLOCK..).zip(rows.chunks_exact_mut(n)) {
+                for (&aik, b_row) in a.row(i).iter().zip(b.iter_rows()) {
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    for (cj, &bj) in c_row.iter_mut().zip(b_row) {
+                        *cj += aik * bj;
+                    }
                 }
             }
-        }
-    });
+        },
+    );
     c
 }
 
 /// `C = A^T * B` without materializing the transpose.
 ///
-/// Used by GNN backprop (`dW = H^T * dZ`).
+/// Used by GNN backprop (`dW = H^T * dZ`). Parallel over output rows like
+/// its siblings: one worker accumulates each row `i` of `C` over the rows
+/// `r` of `A` and `B` in ascending order, skipping `A[r][i] == 0`, so no
+/// partial sums are combined and the result is bit-identical at any
+/// thread count.
 pub fn matmul_tn(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     assert_eq!(
         a.rows(),
@@ -57,49 +63,29 @@ pub fn matmul_tn(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
         a.rows(),
         b.rows()
     );
-    let m = a.cols();
     let n = b.cols();
-    // Accumulate per-thread partials, then reduce: A^T*B sums over rows of A,
-    // which is the parallel axis, so direct row-parallelism would race.
-    let threads = par::num_threads().max(1);
-    let rows = a.rows();
-    let chunk = rows.div_ceil(threads).max(1);
-    let mut partials: Vec<DenseMatrix> = Vec::with_capacity(threads);
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(rows);
-            if start >= end {
-                break;
-            }
-            handles.push(scope.spawn(move |_| {
-                let mut local = DenseMatrix::zeros(m, n);
-                for r in start..end {
-                    let a_row = a.row(r);
-                    let b_row = b.row(r);
-                    for (i, &ai) in a_row.iter().enumerate() {
-                        if ai == 0.0 {
-                            continue;
-                        }
-                        let local_row = local.row_mut(i);
-                        for (lj, &bj) in local_row.iter_mut().zip(b_row.iter()) {
-                            *lj += ai * bj;
-                        }
+    let mut c = DenseMatrix::zeros(a.cols(), n);
+    par::for_each_block_mut(
+        0,
+        c.as_mut_slice(),
+        ROW_BLOCK * n,
+        || (),
+        |(), blk, rows| {
+            for (a_row, b_row) in a.iter_rows().zip(b.iter_rows()) {
+                for (&ai, c_row) in a_row[blk * ROW_BLOCK..]
+                    .iter()
+                    .zip(rows.chunks_exact_mut(n))
+                {
+                    if ai == 0.0 {
+                        continue;
+                    }
+                    for (cj, &bj) in c_row.iter_mut().zip(b_row) {
+                        *cj += ai * bj;
                     }
                 }
-                local
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("matmul_tn worker panicked"));
-        }
-    })
-    .expect("matmul_tn scope failed");
-    let mut c = DenseMatrix::zeros(m, n);
-    for p in &partials {
-        add_assign(&mut c, p);
-    }
+            }
+        },
+    );
     c
 }
 
@@ -112,21 +98,21 @@ pub fn matmul_nt(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
         a.cols(),
         b.cols()
     );
-    let m = a.rows();
     let n = b.rows();
-    let mut c = DenseMatrix::zeros(m, n);
-    let c_ptr = SendPtr(c.as_mut_slice().as_mut_ptr());
-    par::for_each_chunk(m, 16, |start, end| {
-        let ptr = c_ptr;
-        for i in start..end {
-            // SAFETY: disjoint output rows per thread.
-            let c_row = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(i * n), n) };
-            let a_row = a.row(i);
-            for (j, cj) in c_row.iter_mut().enumerate() {
-                *cj = dot(a_row, b.row(j));
+    let mut c = DenseMatrix::zeros(a.rows(), n);
+    par::for_each_block_mut(
+        0,
+        c.as_mut_slice(),
+        ROW_BLOCK * n,
+        || (),
+        |(), blk, rows| {
+            for (i, c_row) in (blk * ROW_BLOCK..).zip(rows.chunks_exact_mut(n)) {
+                for (cj, b_row) in c_row.iter_mut().zip(b.iter_rows()) {
+                    *cj = dot(a.row(i), b_row);
+                }
             }
-        }
-    });
+        },
+    );
     c
 }
 
@@ -190,21 +176,15 @@ pub fn l2_normalize_row(row: &mut [f32]) {
 /// result is bit-identical at any thread count.
 pub fn l2_normalize_rows(m: &mut DenseMatrix, threads: usize) {
     let cols = m.cols();
-    if cols == 0 {
-        return;
-    }
-    let rows = m.rows();
-    let ptr = crate::par::SendPtr(m.as_mut_slice().as_mut_ptr());
-    crate::par::for_each_chunk_with(threads, rows, 128, |start, end| {
-        #[allow(clippy::redundant_locals)]
-        let ptr = ptr;
-        for i in start..end {
-            // SAFETY: each chunk normalizes a disjoint row range of `m`,
-            // which outlives the scoped threads.
-            let row = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(i * cols), cols) };
-            l2_normalize_row(row);
-        }
-    });
+    par::for_each_block_mut(
+        threads,
+        m.as_mut_slice(),
+        128 * cols,
+        || (),
+        |(), _, rows| {
+            rows.chunks_exact_mut(cols).for_each(l2_normalize_row);
+        },
+    );
 }
 
 /// L1-normalizes every row in place; zero rows are left untouched.
@@ -238,17 +218,6 @@ pub fn column_means(m: &DenseMatrix) -> Vec<f32> {
     let n = m.rows().max(1) as f64;
     means.into_iter().map(|v| (v / n) as f32).collect()
 }
-
-/// Raw pointer wrapper asserting cross-thread safety for disjoint writes.
-struct SendPtr<T>(*mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -343,6 +312,76 @@ mod tests {
         let a = DenseMatrix::from_vec(1, 3, vec![1., 2., 3.]);
         let b = DenseMatrix::from_vec(1, 3, vec![4., 5., 6.]);
         assert_eq!(hadamard(&a, &b).as_slice(), &[4., 10., 18.]);
+    }
+
+    /// A `rows x cols` matrix of small integers scaled by 0.37, about a
+    /// quarter of them exactly zero, so the zero-skip paths run.
+    fn sparse_ish(rows: usize, cols: usize, seed: usize) -> DenseMatrix {
+        let data = (0..rows * cols)
+            .map(|v| {
+                let h = (v * 2_654_435_761 + seed * 40_503) % 1_000_003;
+                if h % 4 == 0 {
+                    0.0
+                } else {
+                    ((h % 19) as f32 - 9.0) * 0.37
+                }
+            })
+            .collect();
+        DenseMatrix::from_vec(rows, cols, data)
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    // Output shapes of at least eight row blocks, so several workers run.
+
+    #[test]
+    fn matmul_is_bit_identical_to_a_serial_loop() {
+        let (a, b) = (sparse_ish(150, 40, 1), sparse_ish(40, 9, 2));
+        let mut want = DenseMatrix::zeros(150, 9);
+        for i in 0..150 {
+            for k in 0..40 {
+                let aik = a.get(i, k);
+                if aik == 0.0 {
+                    continue;
+                }
+                for j in 0..9 {
+                    want.row_mut(i)[j] += aik * b.get(k, j);
+                }
+            }
+        }
+        assert_eq!(bits(&matmul(&a, &b)), bits(&want));
+    }
+
+    #[test]
+    fn matmul_nt_is_bit_identical_to_a_serial_loop() {
+        let (a, b) = (sparse_ish(150, 40, 3), sparse_ish(9, 40, 4));
+        let mut want = DenseMatrix::zeros(150, 9);
+        for i in 0..150 {
+            for j in 0..9 {
+                want.row_mut(i)[j] = (0..40).map(|k| a.get(i, k) * b.get(j, k)).sum();
+            }
+        }
+        assert_eq!(bits(&matmul_nt(&a, &b)), bits(&want));
+    }
+
+    #[test]
+    fn matmul_tn_is_bit_identical_to_the_r_ascending_loop() {
+        let (a, b) = (sparse_ish(60, 150, 5), sparse_ish(60, 9, 6));
+        let mut want = DenseMatrix::zeros(150, 9);
+        for r in 0..60 {
+            for i in 0..150 {
+                let ari = a.get(r, i);
+                if ari == 0.0 {
+                    continue;
+                }
+                for j in 0..9 {
+                    want.row_mut(i)[j] += ari * b.get(r, j);
+                }
+            }
+        }
+        assert_eq!(bits(&matmul_tn(&a, &b)), bits(&want));
     }
 
     #[test]
