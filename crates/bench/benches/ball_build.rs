@@ -32,7 +32,12 @@ struct Case {
 }
 
 fn write_json(cases: &[Case]) {
-    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
+    // The checkout running the bench: cargo sets CARGO_MANIFEST_DIR at run
+    // time; a bench binary started by hand writes under the current dir.
+    let dir = std::env::var("CARGO_MANIFEST_DIR").map_or_else(
+        |_| "results".to_string(),
+        |crate_dir| format!("{crate_dir}/../../results"),
+    );
     let rev = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()

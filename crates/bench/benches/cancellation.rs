@@ -52,7 +52,12 @@ fn summarize(samples: &[Duration]) -> (u128, u128, u128) {
 }
 
 fn write_json(cases: &[Case]) {
-    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
+    // The checkout running the bench: cargo sets CARGO_MANIFEST_DIR at run
+    // time; a bench binary started by hand writes under the current dir.
+    let dir = std::env::var("CARGO_MANIFEST_DIR").map_or_else(
+        |_| "results".to_string(),
+        |crate_dir| format!("{crate_dir}/../../results"),
+    );
     let mut body = String::from("{\n  \"bench\": \"cancel\",\n  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let (min, median, mean) = summarize(&case.samples);

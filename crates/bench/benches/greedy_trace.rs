@@ -50,7 +50,12 @@ fn median_ns(samples: &[Duration]) -> u128 {
 }
 
 fn write_json(cases: &[Case]) {
-    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
+    // The checkout running the bench: cargo sets CARGO_MANIFEST_DIR at run
+    // time; a bench binary started by hand writes under the current dir.
+    let dir = std::env::var("CARGO_MANIFEST_DIR").map_or_else(
+        |_| "results".to_string(),
+        |crate_dir| format!("{crate_dir}/../../results"),
+    );
     let mut body = String::from("{\n  \"bench\": \"trace\",\n");
     let rev = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])

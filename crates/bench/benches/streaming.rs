@@ -16,9 +16,12 @@
 //! * **cold rebuild** — what the same engine costs from scratch on the
 //!   mutated corpus: the full cold request and its artifact-only
 //!   portion (propagation + influence + indexing stage timings);
-//! * **speedups** — apply vs. both cold numbers. The headline claim is
-//!   the 1-edge delta at n=1e5 applying ≥ 50× faster than the cold
-//!   artifact build.
+//! * **speedups** — apply vs. both cold numbers;
+//! * **live** — the `live-store` shape: a store-backed service, toggles of
+//!   1 and 16 edges where every fourth edge joins the highest-degree node,
+//!   each apply followed by the select that answers on the new epoch. Per
+//!   case: the apply, its `PatchTimings` stages, the flip plus store
+//!   commit (the apply's time outside splice and patch), and the select.
 //!
 //! CI smoke: `GRAIN_DELTA_MAX_N` caps the ladder (e.g. `20000`) so the
 //! bench exercises every code path in seconds; the committed JSON comes
@@ -26,7 +29,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grain_core::{
-    Budget, GrainConfig, GrainService, GrainVariant, GraphDelta, GreedyAlgorithm, SelectionRequest,
+    Budget, GrainConfig, GrainService, GrainVariant, GraphDelta, GreedyAlgorithm, PatchTimings,
+    ScratchDir, SelectionRequest,
 };
 use grain_graph::{generators, Graph};
 use grain_linalg::DenseMatrix;
@@ -43,6 +47,8 @@ const SAMPLES: usize = 10;
 /// build pay one-time allocator growth and page faults that are not part
 /// of the steady-state apply path. Even, to preserve toggle parity.
 const WARMUP: usize = 4;
+/// Applies sampled per live case; even, like [`SAMPLES`].
+const LIVE_SAMPLES: usize = 20;
 
 struct Case {
     name: String,
@@ -68,8 +74,27 @@ fn summarize(samples: &[Duration]) -> (u128, u128, u128) {
 }
 
 fn write_json(cases: &[Case]) {
-    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
-    let mut body = String::from("{\n  \"bench\": \"delta\",\n  \"cases\": [\n");
+    // The checkout running the bench: cargo sets CARGO_MANIFEST_DIR at run
+    // time; a bench binary started by hand writes under the current dir.
+    let dir = std::env::var("CARGO_MANIFEST_DIR").map_or_else(
+        |_| "results".to_string(),
+        |crate_dir| format!("{crate_dir}/../../results"),
+    );
+    let rev = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string());
+    let mut body = format!(
+        "{{\n  \"bench\": \"delta\",\n  \"host\": {{\"nproc\": {}, \"profile\": \"{}\", \"git_rev\": \"{rev}\"}},\n  \"cases\": [\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
+    );
     for (i, case) in cases.iter().enumerate() {
         let (min, median, mean) = summarize(&case.samples);
         body.push_str(&format!(
@@ -124,13 +149,17 @@ fn has_edge(g: &Graph, u: u32, v: u32) -> bool {
 }
 
 /// `size` distinct node pairs absent from `g`: the toggle set whose
-/// batch-insert/batch-delete alternation drives the apply samples.
-fn toggle_pairs(g: &Graph, size: usize) -> Vec<(u32, u32)> {
+/// batch-insert/batch-delete alternation drives the apply samples. With
+/// an `anchor`, every fourth pair has it as an endpoint.
+fn toggle_pairs(g: &Graph, size: usize, anchor: Option<u32>) -> Vec<(u32, u32)> {
     let n = g.num_nodes() as u64;
     let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(size);
     let mut i: u64 = 0;
     while pairs.len() < size {
-        let a = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 17) % n;
+        let a = match anchor {
+            Some(hub) if pairs.len() % 4 == 0 => u64::from(hub),
+            _ => (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 17) % n,
+        };
         let b = (i.wrapping_mul(0xc2b2_ae3d_27d4_eb4f) >> 19) % n;
         i += 1;
         let (a, b) = (a.min(b) as u32, a.max(b) as u32);
@@ -162,6 +191,22 @@ fn quantiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
     (min, median, max)
 }
 
+fn median_ns(xs: impl Iterator<Item = Duration>) -> f64 {
+    quantiles(xs.map(|d| d.as_nanos() as f64).collect()).1
+}
+
+/// The median of each `PatchTimings` stage across `patches`.
+fn stage_medians(patches: &[PatchTimings]) -> Vec<(&'static str, f64)> {
+    let stage = |f: fn(&PatchTimings) -> Duration| median_ns(patches.iter().map(f));
+    vec![
+        ("stage_transition_median_ns", stage(|p| p.transition)),
+        ("stage_propagation_median_ns", stage(|p| p.propagation)),
+        ("stage_embedding_median_ns", stage(|p| p.embedding)),
+        ("stage_influence_median_ns", stage(|p| p.influence)),
+        ("stage_index_median_ns", stage(|p| p.index)),
+    ]
+}
+
 fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
     let graph_id = format!("ba-{n}");
     let graph = generators::barabasi_albert(n, 4, 42);
@@ -178,20 +223,11 @@ fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
     service.select(&request).expect("warm-up select");
 
     for size in [1usize, 16, 256] {
-        let pairs = toggle_pairs(&graph, size);
+        let pairs = toggle_pairs(&graph, size, None);
         let mut samples: Vec<Duration> = Vec::with_capacity(SAMPLES);
         let mut dirty_prop: Vec<f64> = Vec::new();
         let mut dirty_inf: Vec<f64> = Vec::new();
-        let mut stage_ns: Vec<(&'static str, Vec<f64>)> = [
-            "transition",
-            "propagation",
-            "embedding",
-            "influence",
-            "index",
-        ]
-        .map(|s| (s, Vec::new()))
-        .into_iter()
-        .collect();
+        let mut patches: Vec<PatchTimings> = Vec::new();
         for w in 0..WARMUP {
             let delta = if w % 2 == 0 {
                 insert_all(&pairs)
@@ -217,16 +253,7 @@ fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
             let patch = &report.patched[0];
             dirty_prop.push(patch.dirty_propagation as f64);
             dirty_inf.push(patch.dirty_influence as f64);
-            for (stage, xs) in stage_ns.iter_mut() {
-                let d = match *stage {
-                    "transition" => patch.timings.transition,
-                    "propagation" => patch.timings.propagation,
-                    "embedding" => patch.timings.embedding,
-                    "influence" => patch.timings.influence,
-                    _ => patch.timings.index,
-                };
-                xs.push(d.as_nanos() as f64);
-            }
+            patches.push(patch.timings);
         }
         // Patched artifacts must serve the next request fully warm.
         let warm = service.select(&request).expect("post-apply select");
@@ -244,16 +271,7 @@ fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
             ("dirty_influence_median", di_med),
             ("dirty_influence_max", di_max),
         ];
-        for (stage, xs) in stage_ns {
-            let (_, median, _) = quantiles(xs);
-            metrics.push(match stage {
-                "transition" => ("stage_transition_median_ns", median),
-                "propagation" => ("stage_propagation_median_ns", median),
-                "embedding" => ("stage_embedding_median_ns", median),
-                "influence" => ("stage_influence_median_ns", median),
-                _ => ("stage_index_median_ns", median),
-            });
-        }
+        metrics.extend(stage_medians(&patches));
         cases.push(Case {
             name: format!("apply/{n}/edges-{size}"),
             samples,
@@ -262,7 +280,7 @@ fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
     }
 
     // Criterion visibility for the 1-edge toggle (the headline case).
-    let single = toggle_pairs(&graph, 1);
+    let single = toggle_pairs(&graph, 1, None);
     let present = Cell::new(false);
     let mut group = c.benchmark_group("delta-apply-1-edge");
     group.sample_size(10);
@@ -337,6 +355,72 @@ fn run_rung(c: &mut Criterion, n: usize, cases: &mut Vec<Case>) {
     });
 }
 
+/// The `live` cases at corpus size `n` (see the module docs).
+fn run_live(n: usize, cases: &mut Vec<Case>) {
+    let graph_id = format!("live-{n}");
+    let graph = generators::barabasi_albert(n, 4, 42);
+    let hub = (0..n).max_by_key(|&v| graph.degree(v)).unwrap_or(0) as u32;
+    let store = ScratchDir::new("bench-delta-live");
+    let service = GrainService::with_capacity(2)
+        .with_artifact_store(store.path())
+        .expect("store opens");
+    service
+        .register_graph(&graph_id, graph.clone(), features(n))
+        .expect("corpus registers");
+    let request = SelectionRequest::new(&graph_id, delta_config(), Budget::Fixed(BUDGET));
+    service.select(&request).expect("cold select persists");
+    for size in [1usize, 16] {
+        let pairs = toggle_pairs(&graph, size, Some(hub));
+        let toggle = |s: usize| {
+            if s % 2 == 0 {
+                insert_all(&pairs)
+            } else {
+                delete_all(&pairs)
+            }
+        };
+        for w in 0..WARMUP {
+            service
+                .apply_update(&graph_id, &toggle(w))
+                .expect("warmup apply");
+            service.select(&request).expect("warmup select");
+        }
+        let (mut samples, mut commits, mut selects) = (vec![], vec![], vec![]);
+        let (mut patches, mut dirty) = (vec![], vec![]);
+        for s in 0..LIVE_SAMPLES {
+            let t = Instant::now();
+            let report = service
+                .apply_update(&graph_id, &toggle(s))
+                .expect("delta applies");
+            let applied = t.elapsed();
+            let t = Instant::now();
+            let answer = service.select(&request).expect("select after the update");
+            selects.push(t.elapsed());
+            assert!(answer.fully_warm(), "n={n} size={size} must serve warm");
+            assert_eq!(report.engines_patched(), 1, "n={n} size={size}");
+            samples.push(applied);
+            commits.push(applied.saturating_sub(report.splice_time + report.patch_time));
+            patches.push(report.patched[0].timings);
+            dirty.push(report.patched[0].dirty_propagation as f64);
+        }
+        let mut metrics = vec![
+            ("n", n as f64),
+            ("delta_edges", size as f64),
+            ("dirty_propagation_median", quantiles(dirty).1),
+        ];
+        metrics.extend(stage_medians(&patches));
+        metrics.push(("flip_and_commit_median_ns", median_ns(commits.into_iter())));
+        metrics.push((
+            "select_after_update_median_ns",
+            median_ns(selects.into_iter()),
+        ));
+        cases.push(Case {
+            name: format!("live/{n}/edges-{size}"),
+            samples,
+            metrics,
+        });
+    }
+}
+
 fn bench_delta(c: &mut Criterion) {
     let max_n: usize = std::env::var("GRAIN_DELTA_MAX_N")
         .ok()
@@ -354,6 +438,7 @@ fn bench_delta(c: &mut Criterion) {
     let mut cases: Vec<Case> = Vec::new();
     for &n in &ladder {
         run_rung(c, n, &mut cases);
+        run_live(n, &mut cases);
     }
     write_json(&cases);
 }

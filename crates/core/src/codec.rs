@@ -18,6 +18,7 @@
 //! [`GrainError::StoreCorrupt`](crate::GrainError::StoreCorrupt), the edge
 //! to [`FrameError::Protocol`](crate::edge::proto::FrameError::Protocol).
 
+use std::borrow::Cow;
 use std::mem::size_of;
 
 /// A decode failure: the first violation, in words.
@@ -98,33 +99,12 @@ impl Enc {
     /// Bulk slice with no count (the reader knows the length from a
     /// header): one memcpy on little-endian targets.
     pub(crate) fn slice<T: Scalar>(&mut self, vs: &[T]) {
-        #[cfg(target_endian = "little")]
-        {
-            // Safety: `Scalar` types have no padding and any alignment
-            // satisfies u8.
-            let bytes = unsafe {
-                std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
-            };
-            self.bytes(bytes);
-        }
-        #[cfg(not(target_endian = "little"))]
-        for &v in vs {
-            v.put(&mut self.buf);
-        }
+        self.bytes(&le_bytes(vs));
     }
 
     /// `&[usize]` as `u64` words, whatever the host word size.
     pub(crate) fn usize_slice(&mut self, vs: &[usize]) {
-        #[cfg(target_pointer_width = "64")]
-        {
-            // Safety: usize and u64 share size and alignment here.
-            let words = unsafe { std::slice::from_raw_parts(vs.as_ptr().cast::<u64>(), vs.len()) };
-            self.slice(words);
-        }
-        #[cfg(not(target_pointer_width = "64"))]
-        for &v in vs {
-            self.usize(v);
-        }
+        self.bytes(&usize_le_bytes(vs));
     }
 
     /// A counted list: `u32` count, then the bulk slice.
@@ -137,6 +117,11 @@ impl Enc {
     pub(crate) fn usize_list(&mut self, vs: &[usize]) {
         self.count(vs.len());
         self.usize_slice(vs);
+    }
+
+    /// The bytes written so far, unsealed.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
 
     /// Appends the checksum of every byte written so far and returns the
@@ -298,6 +283,85 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h.write_u64(bytes.len() as u64);
     h.write(bytes);
     h.finish()
+}
+
+/// [`checksum`] fed piece by piece: the sum over the concatenation of
+/// every piece written, whose total length is fixed up front. A piece
+/// that ends mid-word leaves its tail in `carry` until the next piece
+/// completes the 8-byte word, so the words [`Fnv64`] sees do not depend
+/// on where the pieces split.
+pub(crate) struct Checksum {
+    h: Fnv64,
+    carry: [u8; 8],
+    held: usize,
+}
+
+impl Checksum {
+    pub(crate) fn new(len: usize) -> Self {
+        let mut h = Fnv64::new();
+        h.write_u64(len as u64);
+        Self {
+            h,
+            carry: [0; 8],
+            held: 0,
+        }
+    }
+
+    pub(crate) fn write(&mut self, mut bytes: &[u8]) {
+        if self.held > 0 {
+            let take = (8 - self.held).min(bytes.len());
+            self.carry[self.held..self.held + take].copy_from_slice(&bytes[..take]);
+            self.held += take;
+            bytes = &bytes[take..];
+            if self.held < 8 {
+                return;
+            }
+            self.h.write(&self.carry);
+            self.held = 0;
+        }
+        let (words, tail) = bytes.split_at(bytes.len() / 8 * 8);
+        self.h.write(words);
+        self.carry[..tail.len()].copy_from_slice(tail);
+        self.held = tail.len();
+    }
+
+    pub(crate) fn finish(mut self) -> u64 {
+        self.h.write(&self.carry[..self.held]);
+        self.h.finish()
+    }
+}
+
+/// `vs` as the little-endian bytes [`Enc::slice`] writes: borrowed on
+/// little-endian hosts, encoded into a fresh buffer elsewhere.
+pub(crate) fn le_bytes<T: Scalar>(vs: &[T]) -> Cow<'_, [u8]> {
+    #[cfg(target_endian = "little")]
+    {
+        // Safety: `Scalar` types have no padding and any alignment
+        // satisfies u8.
+        Cow::Borrowed(unsafe {
+            std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
+        })
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let mut buf = Vec::with_capacity(std::mem::size_of_val(vs));
+        for &v in vs {
+            v.put(&mut buf);
+        }
+        Cow::Owned(buf)
+    }
+}
+
+/// `&[usize]` as the `u64` words [`Enc::usize_slice`] writes (see
+/// [`le_bytes`]).
+pub(crate) fn usize_le_bytes(vs: &[usize]) -> Cow<'_, [u8]> {
+    #[cfg(target_pointer_width = "64")]
+    {
+        // Safety: usize and u64 share size and alignment here.
+        le_bytes(unsafe { std::slice::from_raw_parts(vs.as_ptr().cast::<u64>(), vs.len()) })
+    }
+    #[cfg(not(target_pointer_width = "64"))]
+    Cow::Owned(vs.iter().flat_map(|&v| (v as u64).to_le_bytes()).collect())
 }
 
 /// Incremental 64-bit FNV-1a hasher (word-at-a-time over bulk slices)
@@ -476,6 +540,58 @@ mod tests {
         assert!(err.contains("length prefix"), "{err}");
         assert!(Dec::new(&[]).vec::<u64>(usize::MAX).is_err());
         assert!(Dec::new(&[]).usize_vec(usize::MAX / 4).is_err());
+    }
+
+    #[test]
+    fn streamed_checksum_equals_checksum_over_any_split() {
+        let bytes: Vec<u8> = (0..517u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let streamed = |bytes: &[u8], cuts: &[usize]| {
+            let mut sum = Checksum::new(bytes.len());
+            let mut at = 0;
+            for &cut in cuts {
+                sum.write(&bytes[at..cut]);
+                at = cut;
+            }
+            sum.write(&bytes[at..]);
+            sum.finish()
+        };
+        let want = checksum(&bytes);
+        assert_eq!(streamed(&bytes, &[]), want, "one piece");
+        // Empty pieces, a 3-byte piece, then pieces straddling the word
+        // boundaries at 8 and 16.
+        assert_eq!(streamed(&bytes, &[0, 0, 3, 3, 13, 21, 21]), want);
+        for piece in 1..=7 {
+            let cuts: Vec<usize> = (piece..bytes.len()).step_by(piece).collect();
+            assert_eq!(streamed(&bytes, &cuts), want, "{piece}-byte pieces");
+        }
+        // Inputs shorter than a word, fed a byte at a time.
+        for len in 0..20 {
+            let cuts: Vec<usize> = (1..len).collect();
+            assert_eq!(
+                streamed(&bytes[..len], &cuts),
+                checksum(&bytes[..len]),
+                "{len} bytes"
+            );
+        }
+        // Random splits, with empty pieces (xorshift64).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200 {
+            let mut cuts = Vec::new();
+            let mut at = 0;
+            loop {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                at += (state % 12) as usize;
+                if at > bytes.len() {
+                    break;
+                }
+                cuts.push(at);
+            }
+            assert_eq!(streamed(&bytes, &cuts), want, "cuts {cuts:?}");
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::greedy::{lazy_greedy, plain_greedy, replay, GreedyTrace};
 use crate::objective::{DimObjective, DiversityScope};
 use crate::prune::prune_candidates;
 use crate::selector::{Completion, SelectionOutcome, SelectionTimings};
-use crate::store::{ArtifactStore, ContentAddress, PendingArtifact};
+use crate::store::{ArtifactStore, ContentAddress, Payload, PendingArtifact};
 use grain_graph::{transition_matrix, transition_rows, CsrMatrix, Graph, TransitionKind};
 use grain_influence::walk::kernel_power_weights;
 use grain_influence::{ActivationIndex, InfluenceRows, ThetaRule};
@@ -190,9 +190,10 @@ impl Snapshots {
 /// slow epoch flip spent its time in.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PatchTimings {
-    /// Transition matrix rebuild (wholesale, cold code path).
+    /// Dirty transition rows recomputed and spliced into the old matrix
+    /// (a whole build only when no transition of the kind is cached).
     pub transition: Duration,
-    /// Dirty-row re-propagation of `X^(k)`.
+    /// Dirty-row re-propagation of `X^(k)` and its ladder.
     pub propagation: Duration,
     /// Embedding clone + dirty-row re-normalization.
     pub embedding: Duration,
@@ -324,8 +325,8 @@ pub struct SelectionEngine {
     propagation: PropagationCache,
     transition: Option<(TransitionKind, CsrMatrix)>,
     embedding: Option<(KernelKey, Arc<DenseMatrix>)>,
-    rows: Option<(RowsKey, InfluenceRows)>,
-    index: Option<(IndexKey, ActivationIndex)>,
+    rows: Option<(RowsKey, Arc<InfluenceRows>)>,
+    index: Option<(IndexKey, Arc<ActivationIndex>)>,
     balls: BallCache,
     nn_dmax: Option<(KernelKey, f32)>,
     traces: TraceCache,
@@ -438,7 +439,7 @@ impl SelectionEngine {
     // store by this engine's *own* active config, so what is saved or
     // loaded can never disagree with what the engine holds, whichever
     // pool key the engine sits under. Adoption is not a build: it bumps
-    // no build counter, which is what keeps `encode_built` from
+    // no build counter, which is what keeps `pending_built` from
     // re-persisting what was just loaded.
 
     /// The influence-row cache key of the active config.
@@ -499,50 +500,57 @@ impl SelectionEngine {
         }
         if let Ok(Some(rows)) = store.load_rows(&addr) {
             if rows.num_nodes() == n && rows.k() == k {
-                self.rows = Some((self.rows_key(), rows));
+                self.rows = Some((self.rows_key(), Arc::new(rows)));
             }
         }
         if let Ok(Some(index)) = store.load_index(&addr) {
             if index.num_nodes() == n && index.k() == k {
-                self.index = Some((self.index_key(), index));
+                self.index = Some((self.index_key(), Arc::new(index)));
             }
         }
     }
 
-    /// Encodes for `store` each active-config stage that `built` counts as
-    /// (re)built — a request's or a patch's build-counter delta. Only
-    /// encodes: the caller commits the result after releasing the engine.
-    pub(crate) fn encode_built(
+    /// The active-config stages that `built` counts as (re)built — a
+    /// request's or a patch's build-counter delta — as artifacts pending
+    /// a write to the store. Clones `Arc`s only: the caller commits them
+    /// after releasing the engine.
+    pub(crate) fn pending_built(
         &self,
         built: &EngineStats,
-        store: &ArtifactStore,
         graph_fingerprint: u64,
         epoch: u64,
     ) -> Vec<PendingArtifact> {
-        let mut pending = Vec::new();
         if built.propagation_builds + built.influence_builds + built.index_builds == 0 {
-            return pending;
+            return Vec::new();
         }
-        let addr = self.address(graph_fingerprint, epoch);
+        let mut payloads = Vec::new();
         let kernel = self.config.kernel;
         if built.propagation_builds > 0 {
             if let Some(value) = self.propagation.get_cached(kernel) {
-                let ladder = self.propagation.cached_ladder(kernel);
-                let levels: Vec<&DenseMatrix> = ladder.iter().map(Arc::as_ref).collect();
-                pending.push(store.encode_propagation(&addr, &value, &levels));
+                payloads.push(Payload::Propagation(
+                    value,
+                    self.propagation.cached_ladder(kernel),
+                ));
             }
         }
         if built.influence_builds > 0 {
             if let Some((_, rows)) = self.rows.as_ref().filter(|(k, _)| *k == self.rows_key()) {
-                pending.push(store.encode_rows(&addr, rows));
+                payloads.push(Payload::Rows(Arc::clone(rows)));
             }
         }
         if built.index_builds > 0 {
             if let Some((_, index)) = self.index.as_ref().filter(|(k, _)| *k == self.index_key()) {
-                pending.push(store.encode_index(&addr, index));
+                payloads.push(Payload::Index(Arc::clone(index)));
             }
         }
-        pending
+        let addr = self.address(graph_fingerprint, epoch);
+        payloads
+            .into_iter()
+            .map(|payload| PendingArtifact {
+                addr: addr.clone(),
+                payload,
+            })
+            .collect()
     }
 
     /// Swaps the configuration, keeping every cached artifact whose key
@@ -942,7 +950,8 @@ impl SelectionEngine {
     ///   transition of the right kind is cached;
     /// * **propagation** — dirty rows re-propagated level-locally via
     ///   [`PropagationCache::repropagate_rows`] against the donor's power
-    ///   ladder (`O(k · |dirty|)` SpMM rows), clean rows `memcpy`d;
+    ///   ladder (`O(k · |dirty|)` SpMM rows over `parallelism` workers),
+    ///   clean rows `memcpy`d;
     /// * **embedding** — clean rows `memcpy`d from the old embedding
     ///   (their `X^(k)` rows are bit-identical, so their normalizations
     ///   are too), dirty rows re-normalized with the same per-row op as
@@ -998,6 +1007,7 @@ impl SelectionEngine {
                 &old_x,
                 &old_ladder,
                 dirty_propagation,
+                config.parallelism,
             );
             timings.propagation = stage.elapsed();
             stats.propagation_builds += 1;
@@ -1030,7 +1040,7 @@ impl SelectionEngine {
                     config.parallelism,
                 );
                 timings.influence = stage.elapsed();
-                rows = Some((rows_key.clone(), rebuilt));
+                rows = Some((rows_key.clone(), Arc::new(rebuilt)));
                 stats.influence_builds += 1;
             }
         }
@@ -1043,7 +1053,7 @@ impl SelectionEngine {
                 let stage = Instant::now();
                 let repaired = old_index.repaired(new_rows, config.theta, dirty_influence);
                 timings.index = stage.elapsed();
-                index = Some((index_key, repaired));
+                index = Some((index_key, Arc::new(repaired)));
                 stats.index_builds += 1;
             }
         }
@@ -1134,7 +1144,7 @@ impl SelectionEngine {
             &|| cancel.is_cancelled(),
         ) {
             Some(rows) => {
-                self.rows = Some((key, rows));
+                self.rows = Some((key, Arc::new(rows)));
                 self.stats.influence_builds += 1;
                 Ok(())
             }
@@ -1154,7 +1164,7 @@ impl SelectionEngine {
         cancel.checkpoint()?;
         let rows = &self.rows.as_ref().expect("rows ensured").1;
         let index = ActivationIndex::build(rows, self.config.theta, self.config.parallelism);
-        self.index = Some((key, index));
+        self.index = Some((key, Arc::new(index)));
         self.stats.index_builds += 1;
         Ok(())
     }

@@ -356,7 +356,7 @@ impl GrainService {
     ///   epoch's files.
     ///
     /// Both directions go through one engine-side seam
-    /// (`SelectionEngine::adopt` / `SelectionEngine::encode_built`),
+    /// (`SelectionEngine::adopt` / `SelectionEngine::pending_built`),
     /// which addresses the store by the engine's own active config.
     ///
     /// Corpora registered before or after attachment both fingerprint
@@ -700,12 +700,13 @@ impl GrainService {
         let artifact_builds = engine.stats().delta_since(&before);
         let artifact_bytes = engine.artifact_bytes();
         // Save-on-build: persist exactly the stages this request built.
-        // Encoding runs under the engine lock we already hold; the writes
-        // happen after both the lock and the checkout are released, off
-        // every hot path. Best-effort: a failed write costs a future cold
-        // build, never this request.
+        // Under the engine lock we already hold, only the built artifacts'
+        // `Arc`s are cloned; encoding and the writes happen after both the
+        // lock and the checkout are released, off every hot path.
+        // Best-effort: a failed write (counted in `StoreStats`) costs a
+        // future cold build, never this request.
         let pending = match &self.store {
-            Some(store) => engine.encode_built(&artifact_builds, store, graph_fingerprint, epoch),
+            Some(_) => engine.pending_built(&artifact_builds, graph_fingerprint, epoch),
             None => Vec::new(),
         };
         drop(engine);

@@ -31,8 +31,9 @@
 //!
 //! Files are written with the shared flat-binary [`codec`]
 //! (shim policy: no serde dependency growth). The payload mirrors the
-//! in-memory SoA structs, so encode and decode are bulk `memcpy`s on
-//! little-endian targets:
+//! in-memory SoA structs: on little-endian targets a write hashes and
+//! writes each flat array straight from the live artifact, and a read
+//! is one bulk `memcpy` per array:
 //!
 //! | section | contents |
 //! |---|---|
@@ -54,15 +55,19 @@
 //! Corruption is never a crash and never a silently wrong artifact.
 //! Writes go through a temp file + atomic rename, so a torn write leaves
 //! either the old file or no file, both of which load correctly or miss.
+//! A write that fails is counted in [`StoreStats::save_failures`].
 
 use crate::codec::{self, Dec, DecResult, Enc, Fnv64};
 use crate::error::{GrainError, GrainResult};
 use grain_graph::Graph;
 use grain_influence::{ActivationIndex, InfluenceRows};
 use grain_linalg::DenseMatrix;
+use std::borrow::Cow;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// File magic: identifies a Grain artifact regardless of extension.
 const MAGIC: [u8; 8] = *b"GRAINART";
@@ -116,6 +121,7 @@ pub struct ContentAddress {
 #[derive(Default)]
 struct StoreCounters {
     saves: AtomicUsize,
+    save_failures: AtomicUsize,
     loads: AtomicUsize,
     misses: AtomicUsize,
     corruptions: AtomicUsize,
@@ -128,6 +134,9 @@ struct StoreCounters {
 pub struct StoreStats {
     /// Artifacts persisted (successful commits).
     pub saves: usize,
+    /// Writes that failed (a full or vanished store directory, say).
+    /// The artifact stays served from memory; only a restart misses it.
+    pub save_failures: usize,
     /// Artifacts loaded and validated.
     pub loads: usize,
     /// Lookups that found no file (normal cold-start misses).
@@ -141,24 +150,20 @@ pub struct StoreStats {
     pub bytes_read: usize,
 }
 
-/// An encoded artifact not yet written — encoding happens under the
-/// engine lock (one memcpy out of the live artifact), the disk write
-/// after it drops (see [`ArtifactStore::commit`]).
+/// An artifact not yet written: its address and shared handles to the
+/// live artifact. Taking one under the engine lock clones `Arc`s only;
+/// [`ArtifactStore::commit`] encodes and writes it after the lock drops.
 pub struct PendingArtifact {
-    path: PathBuf,
-    bytes: Vec<u8>,
+    pub(crate) addr: ContentAddress,
+    pub(crate) payload: Payload,
 }
 
-impl PendingArtifact {
-    /// Serialized size in bytes (header + payload + checksum).
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Always false: an encoded artifact carries at least its header.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
+/// What a [`PendingArtifact`] writes.
+pub(crate) enum Payload {
+    /// `X^(k)` plus its power ladder.
+    Propagation(Arc<DenseMatrix>, Vec<Arc<DenseMatrix>>),
+    Rows(Arc<InfluenceRows>),
+    Index(Arc<ActivationIndex>),
 }
 
 /// A directory of content-addressed artifact files. All methods are
@@ -190,6 +195,7 @@ impl ArtifactStore {
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             saves: self.counters.saves.load(Ordering::Relaxed),
+            save_failures: self.counters.save_failures.load(Ordering::Relaxed),
             loads: self.counters.loads.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
             corruptions: self.counters.corruptions.load(Ordering::Relaxed),
@@ -215,107 +221,114 @@ impl ArtifactStore {
         ))
     }
 
-    // ---- encode ----------------------------------------------------------
+    // ---- save --------------------------------------------------------------
 
-    /// Encodes `X^(k)` plus its power ladder for [`ArtifactStore::commit`].
-    pub fn encode_propagation(
-        &self,
-        addr: &ContentAddress,
-        value: &DenseMatrix,
-        ladder: &[&DenseMatrix],
-    ) -> PendingArtifact {
-        let mut enc = self.header(addr, ArtifactKind::Propagation);
-        enc.u64(value.rows() as u64);
-        enc.u64(value.cols() as u64);
-        enc.u64(ladder.len() as u64);
-        enc.slice(value.as_slice());
-        for level in ladder {
-            assert_eq!(
-                (level.rows(), level.cols()),
-                (value.rows(), value.cols()),
-                "ladder levels share X^(k)'s shape"
-            );
-            enc.slice(level.as_slice());
-        }
-        self.seal(addr, ArtifactKind::Propagation, enc)
-    }
-
-    /// Encodes influence rows for [`ArtifactStore::commit`].
-    pub fn encode_rows(&self, addr: &ContentAddress, rows: &InfluenceRows) -> PendingArtifact {
-        let mut enc = self.header(addr, ArtifactKind::InfluenceRows);
-        enc.u64(rows.num_nodes() as u64);
-        enc.u64(rows.nnz() as u64);
-        enc.u64(rows.k() as u64);
-        enc.usize_slice(rows.offsets());
-        enc.slice(rows.cols());
-        enc.slice(rows.vals());
-        self.seal(addr, ArtifactKind::InfluenceRows, enc)
-    }
-
-    /// Encodes an activation index for [`ArtifactStore::commit`].
-    pub fn encode_index(&self, addr: &ContentAddress, index: &ActivationIndex) -> PendingArtifact {
-        let mut enc = self.header(addr, ArtifactKind::ActivationIndex);
-        enc.u64(index.num_nodes() as u64);
-        enc.u64(index.total_entries() as u64);
-        enc.u64(index.k() as u64);
-        enc.f32(index.theta());
-        enc.usize_slice(index.offsets());
-        enc.slice(index.items());
-        self.seal(addr, ArtifactKind::ActivationIndex, enc)
-    }
-
-    fn header(&self, addr: &ContentAddress, kind: ArtifactKind) -> Enc {
-        let mut enc = Enc::default();
-        enc.bytes(&MAGIC);
-        enc.u32(CODEC_VERSION);
-        enc.u32(kind.tag());
-        enc.u64(addr.graph_fingerprint);
-        enc.u64(addr.epoch);
-        enc.str(&addr.artifact_fingerprint);
-        enc
-    }
-
-    fn seal(&self, addr: &ContentAddress, kind: ArtifactKind, enc: Enc) -> PendingArtifact {
-        PendingArtifact {
-            path: self.path_for(addr, kind),
-            bytes: enc.seal(),
-        }
-    }
-
-    /// Writes an encoded artifact via temp file + atomic rename and
-    /// returns the bytes committed. Racing commits of the same address
-    /// are safe: content addressing + bit-identical builds mean both
-    /// writers carry the same bytes.
+    /// Writes a pending artifact through the same writer as the `save_*`
+    /// methods and returns the bytes committed.
     pub fn commit(&self, pending: PendingArtifact) -> GrainResult<usize> {
-        let tmp = pending.path.with_extension("tmp");
-        fs::write(&tmp, &pending.bytes)
-            .and_then(|()| fs::rename(&tmp, &pending.path))
-            .map_err(|e| GrainError::store(format!("cannot write {:?}: {e}", pending.path)))?;
-        self.counters.saves.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bytes_written
-            .fetch_add(pending.bytes.len(), Ordering::Relaxed);
-        Ok(pending.bytes.len())
+        let addr = &pending.addr;
+        match &pending.payload {
+            Payload::Propagation(value, ladder) => {
+                let levels: Vec<&DenseMatrix> = ladder.iter().map(Arc::as_ref).collect();
+                self.save_propagation(addr, value, &levels)
+            }
+            Payload::Rows(rows) => self.save_rows(addr, rows),
+            Payload::Index(index) => self.save_index(addr, index),
+        }
     }
 
-    /// Encode + commit in one step (the streaming re-persist path).
+    /// Writes `X^(k)` plus its power ladder and returns the bytes
+    /// committed.
     pub fn save_propagation(
         &self,
         addr: &ContentAddress,
         value: &DenseMatrix,
         ladder: &[&DenseMatrix],
     ) -> GrainResult<usize> {
-        self.commit(self.encode_propagation(addr, value, ladder))
+        let mut enc = header(addr, ArtifactKind::Propagation);
+        enc.u64(value.rows() as u64);
+        enc.u64(value.cols() as u64);
+        enc.u64(ladder.len() as u64);
+        let mut bulk = vec![codec::le_bytes(value.as_slice())];
+        for level in ladder {
+            assert_eq!(
+                (level.rows(), level.cols()),
+                (value.rows(), value.cols()),
+                "ladder levels share X^(k)'s shape"
+            );
+            bulk.push(codec::le_bytes(level.as_slice()));
+        }
+        self.write(addr, ArtifactKind::Propagation, enc, &bulk)
     }
 
-    /// Encode + commit in one step (the streaming re-persist path).
+    /// Writes influence rows and returns the bytes committed.
     pub fn save_rows(&self, addr: &ContentAddress, rows: &InfluenceRows) -> GrainResult<usize> {
-        self.commit(self.encode_rows(addr, rows))
+        let mut enc = header(addr, ArtifactKind::InfluenceRows);
+        enc.u64(rows.num_nodes() as u64);
+        enc.u64(rows.nnz() as u64);
+        enc.u64(rows.k() as u64);
+        let bulk = [
+            codec::usize_le_bytes(rows.offsets()),
+            codec::le_bytes(rows.cols()),
+            codec::le_bytes(rows.vals()),
+        ];
+        self.write(addr, ArtifactKind::InfluenceRows, enc, &bulk)
     }
 
-    /// Encode + commit in one step (the streaming re-persist path).
+    /// Writes an activation index and returns the bytes committed.
     pub fn save_index(&self, addr: &ContentAddress, index: &ActivationIndex) -> GrainResult<usize> {
-        self.commit(self.encode_index(addr, index))
+        let mut enc = header(addr, ArtifactKind::ActivationIndex);
+        enc.u64(index.num_nodes() as u64);
+        enc.u64(index.total_entries() as u64);
+        enc.u64(index.k() as u64);
+        enc.f32(index.theta());
+        let bulk = [
+            codec::usize_le_bytes(index.offsets()),
+            codec::le_bytes(index.items()),
+        ];
+        self.write(addr, ArtifactKind::ActivationIndex, enc, &bulk)
+    }
+
+    /// The one writer. `header` (the address, then the kind's dims) is
+    /// complete before any byte is hashed, so the file's exact length is
+    /// known up front; each `bulk` slice is then hashed and written to
+    /// `<name>.tmp` straight from the artifact, the checksum appended,
+    /// and the file renamed into place. Racing commits of the same
+    /// address are safe: content addressing + bit-identical builds mean
+    /// both writers carry the same bytes. A failed write counts in
+    /// [`StoreStats::save_failures`].
+    fn write(
+        &self,
+        addr: &ContentAddress,
+        kind: ArtifactKind,
+        header: Enc,
+        bulk: &[Cow<'_, [u8]>],
+    ) -> GrainResult<usize> {
+        let header = header.into_bytes();
+        let body = header.len() + bulk.iter().map(|b| b.len()).sum::<usize>();
+        let path = self.path_for(addr, kind);
+        let tmp = path.with_extension("tmp");
+        let written = (|| {
+            let mut file = fs::File::create(&tmp)?;
+            let mut sum = codec::Checksum::new(body);
+            for piece in std::iter::once(&header[..]).chain(bulk.iter().map(|b| &b[..])) {
+                sum.write(piece);
+                file.write_all(piece)?;
+            }
+            file.write_all(&sum.finish().to_le_bytes())?;
+            drop(file);
+            fs::rename(&tmp, &path)
+        })();
+        if let Err(e) = written {
+            self.counters.save_failures.fetch_add(1, Ordering::Relaxed);
+            return Err(GrainError::store(format!("cannot write {path:?}: {e}")));
+        }
+        let len = body + 8;
+        self.counters.saves.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .bytes_written
+            .fetch_add(len, Ordering::Relaxed);
+        Ok(len)
     }
 
     // ---- load ------------------------------------------------------------
@@ -461,6 +474,19 @@ impl ArtifactStore {
         }
         removed
     }
+}
+
+/// The header every file starts with: magic, version, kind and the full
+/// content address. The kind's dims follow it.
+fn header(addr: &ContentAddress, kind: ArtifactKind) -> Enc {
+    let mut enc = Enc::default();
+    enc.bytes(&MAGIC);
+    enc.u32(CODEC_VERSION);
+    enc.u32(kind.tag());
+    enc.u64(addr.graph_fingerprint);
+    enc.u64(addr.epoch);
+    enc.str(&addr.artifact_fingerprint);
+    enc
 }
 
 /// Well-formed flat CSR: offsets monotone from 0 to `nnz`, every column
@@ -828,6 +854,44 @@ mod tests {
         let mut name = Fnv64::new();
         name.write(b"rw:k=2|eps:00000000");
         assert_eq!(name.finish(), 0x2fcb_dac7_f327_468a);
+    }
+
+    #[test]
+    fn file_bytes_are_pinned() {
+        // The bytes of each kind's file, hashed. A header of odd length
+        // leaves every bulk slice straddling 8-byte words, the case a
+        // streaming checksum must carry across pieces.
+        let scratch = ScratchDir::new("store-pinned");
+        let store = ArtifactStore::open(scratch.path()).unwrap();
+        let at = ContentAddress {
+            graph_fingerprint: 0x0123_4567_89ab_cdef,
+            epoch: 5,
+            artifact_fingerprint: "pinned-odd".to_string(),
+        };
+        let dense = |salt: usize| {
+            DenseMatrix::from_vec(
+                7,
+                3,
+                (0..21)
+                    .map(|i| ((i * 13 + salt) % 17) as f32 * 0.125 - 1.0)
+                    .collect(),
+            )
+        };
+        let rows = sample_rows();
+        let index = ActivationIndex::build(&rows, ThetaRule::RelativeToRowMax(0.25), 1);
+        store
+            .save_propagation(&at, &dense(0), &[&dense(1), &dense(2)])
+            .unwrap();
+        store.save_rows(&at, &rows).unwrap();
+        store.save_index(&at, &index).unwrap();
+        let hash = |kind| {
+            let mut h = Fnv64::new();
+            h.write(&fs::read(store.path_for(&at, kind)).unwrap());
+            h.finish()
+        };
+        assert_eq!(hash(ArtifactKind::Propagation), 0xfa0e_9f6c_ffdc_d3f5);
+        assert_eq!(hash(ArtifactKind::InfluenceRows), 0x8815_57d4_30d0_41bd);
+        assert_eq!(hash(ArtifactKind::ActivationIndex), 0xfdc9_e1db_87e4_ccf8);
     }
 
     #[test]

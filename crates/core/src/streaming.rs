@@ -33,8 +33,9 @@
 //! mutated corpus: dirty rows re-run the exact per-row float paths of the
 //! cold builders ([`grain_prop::propagate()`]'s SpMM row order,
 //! [`grain_influence::InfluenceRows`]' scatter-gather walk), clean rows
-//! are `memcpy`d, and the cheap row-local artifacts (transition,
-//! normalized embedding) rebuild through the cold code path outright.
+//! are `memcpy`d, and the cheap row-local artifacts (transition rows,
+//! normalized embedding rows) are recomputed by the cold builders'
+//! per-row functions and spliced.
 //! Tier-1 property tests assert byte equality across kernels, top-k
 //! truncation, and thread counts.
 //!
@@ -417,16 +418,12 @@ impl GrainService {
                 // can re-key an engine through `set_config`). Its patched
                 // artifacts are re-persisted under the new epoch's address
                 // — patched ≡ cold-over-mutated-graph byte-for-byte, so
-                // the store stays warm across the flip. Encoded here (we
-                // own `next`), written after the corpus pointer flips.
+                // the store stays warm across the flip. Taken here as
+                // shared handles (we own `next`), encoded and written
+                // after the corpus pointer flips.
                 let fingerprint = next.config().artifact_fingerprint();
-                if let Some(store) = &self.store {
-                    pending.extend(next.encode_built(
-                        &built,
-                        store,
-                        new_fingerprint,
-                        from_epoch + 1,
-                    ));
+                if self.store.is_some() {
+                    pending.extend(next.pending_built(&built, new_fingerprint, from_epoch + 1));
                 }
                 self.pool.insert_ready(
                     PoolKey {
@@ -449,7 +446,9 @@ impl GrainService {
         // Flip the corpus pointer. New requests now observe epoch e+1
         // and find the patched engines warm under their keys; the old
         // epoch's engines and store files are reclaimed. The patched
-        // epoch's artifacts are written after the flip.
+        // epoch's artifacts are written after the flip. A failed write
+        // counts in `StoreStats::save_failures` and costs only a restart's
+        // cold build.
         self.flip_epoch(graph_id, new_graph, new_features, new_fingerprint)?;
         if let Some(store) = &self.store {
             for artifact in pending {

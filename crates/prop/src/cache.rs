@@ -128,11 +128,11 @@ impl PropagationCache {
     /// levels, the invariant every non-seeded cache entry holds), repair
     /// runs level-local via
     /// [`crate::propagate::repropagate_rows_laddered`] — `O(k · |dirty|)`
-    /// rows of SpMM — and the patched ladder is cached here so the next
-    /// delta repairs just as cheaply. A missing/incomplete ladder (seeded
-    /// artifacts) falls back to the reverse-cone
-    /// [`crate::propagate::repropagate_rows`], which needs no
-    /// intermediate state but expands over clean neighbors.
+    /// rows of SpMM over `threads` workers (`0` = auto) — and the patched
+    /// ladder is cached here so the next delta repairs just as cheaply. A
+    /// missing/incomplete ladder (seeded artifacts) falls back to the
+    /// serial reverse-cone [`crate::propagate::repropagate_rows`], which
+    /// needs no intermediate state but expands over clean neighbors.
     ///
     /// The cache must already be over the post-delta corpus — its
     /// `features` are the new `X^(0)`. Bit-identity contract: given a
@@ -150,6 +150,7 @@ impl PropagationCache {
         old: &DenseMatrix,
         old_ladder: &[Arc<DenseMatrix>],
         dirty: &[u32],
+        threads: usize,
     ) -> Arc<DenseMatrix> {
         let entry = if old_ladder.len() == kernel.steps().saturating_sub(1) {
             let refs: Vec<&DenseMatrix> = old_ladder.iter().map(|l| l.as_ref()).collect();
@@ -160,6 +161,7 @@ impl PropagationCache {
                 old,
                 &refs,
                 dirty,
+                threads,
             );
             CachedKernel {
                 value: Arc::new(patched),
@@ -377,7 +379,7 @@ mod tests {
         let old_ladder = donor.cached_ladder(kernel);
         assert_eq!(old_ladder.len(), 1, "k=2 ladder is one level");
         let mut cache = PropagationCache::new(edited.clone(), x.clone());
-        let patched = cache.repropagate_rows(kernel, &t_new, &old, &old_ladder, &dirty);
+        let patched = cache.repropagate_rows(kernel, &t_new, &old, &old_ladder, &dirty, 2);
         assert_eq!(&*patched, &propagate(&edited, kernel, &x));
         // The patch is cached: the next get hands out the same allocation.
         assert!(Arc::ptr_eq(
@@ -396,7 +398,7 @@ mod tests {
         // A donor without a ladder (seeded artifact) still patches via the
         // reverse-cone fallback.
         let mut bare = PropagationCache::new(edited.clone(), x.clone());
-        let fallback = bare.repropagate_rows(kernel, &t_new, &old, &[], &dirty);
+        let fallback = bare.repropagate_rows(kernel, &t_new, &old, &[], &dirty, 2);
         assert_eq!(&*fallback, &*patched);
         assert!(bare.cached_ladder(kernel).is_empty());
     }

@@ -2,7 +2,13 @@
 
 use crate::kernel::Kernel;
 use grain_graph::{transition_matrix, CsrMatrix, Graph};
-use grain_linalg::{ops, DenseMatrix};
+use grain_linalg::{ops, par, DenseMatrix};
+
+/// Dirty rows per block of laddered re-propagation's SpMM.
+const BLOCK_ROWS: usize = 64;
+
+/// The position-map entry of a clean row.
+const CLEAN: u32 = u32::MAX;
 
 /// Propagates `x` through `kernel` on graph `g`, building the kernel's
 /// transition matrix internally (with self-loops, the GNN convention).
@@ -344,6 +350,10 @@ pub fn repropagate_rows(
 /// ladder (each level's dirty rows spliced over a copy), so the caller
 /// can re-cache both and the *next* delta patches just as cheaply.
 ///
+/// Each level's SpMM runs over `threads` workers (`0` = auto) in blocks
+/// of 64 dirty rows. A neighbour's dirty position is one lookup in a
+/// dense `n`-entry map built once per call.
+///
 /// Bit-identity contract is the cone version's, extended one axis: every
 /// level-`l` row that differs from a cold build must be in `dirty` (true
 /// for any `dirty ⊇ ball_k(seeds)`, since per-level dirt is the nested
@@ -361,6 +371,7 @@ pub fn repropagate_rows_laddered(
     old: &DenseMatrix,
     old_ladder: &[&DenseMatrix],
     dirty: &[u32],
+    threads: usize,
 ) -> (DenseMatrix, Vec<DenseMatrix>) {
     assert_eq!(t.rows(), t.cols(), "transition matrix must be square");
     assert_eq!(
@@ -424,33 +435,51 @@ pub fn repropagate_rows_laddered(
     }
     let d = x.cols();
     let m = dirty.len();
-    // Flat per-dirty-row buffers; `dirty` is sorted so membership is a
-    // binary search, no hashing.
+    assert!(
+        m < CLEAN as usize,
+        "{m} dirty rows overflow the position map"
+    );
+    // Flat per-dirty-row buffers, addressed through a dense position map:
+    // `pos[c]` is `c`'s index in `dirty`, or `CLEAN`.
     fn row_slice(buf: &[f32], j: usize, d: usize) -> &[f32] {
         &buf[j * d..(j + 1) * d]
     }
-    // One SpMM output row per dirty row, in `CsrMatrix::spmm`'s exact accumulation
-    // order: dirty prev values from `prev_dirty`, clean ones from the
-    // level's cold-state source (`x` at level 1, the old ladder above).
+    let mut pos = vec![CLEAN; t.rows()];
+    for (j, &r) in dirty.iter().enumerate() {
+        pos[r as usize] = j as u32;
+    }
+    // One SpMM output row per dirty row, in `CsrMatrix::spmm`'s exact
+    // accumulation order: dirty prev values from `prev_dirty`, clean ones
+    // from the level's cold-state source (`x` at level 1, the old ladder
+    // above). Rows run in blocks of `BLOCK_ROWS` on the block driver; each
+    // row is accumulated wholly by one worker, so the bits do not depend
+    // on `threads`.
     let spmm_dirty = |level: usize, prev_dirty: &[f32], cur: &mut [f32]| {
-        for (j, &r) in dirty.iter().enumerate() {
-            let row = &mut cur[j * d..(j + 1) * d];
-            row.fill(0.0);
-            let (idx, vals) = t.row(r as usize);
-            for (&c, &w) in idx.iter().zip(vals) {
-                if w == 0.0 {
-                    continue;
+        let clean: &DenseMatrix = if level == 1 { x } else { old_ladder[level - 2] };
+        par::for_each_block_mut(
+            threads,
+            cur,
+            BLOCK_ROWS * d,
+            || (),
+            |(), b, block| {
+                for (row, &r) in block.chunks_exact_mut(d).zip(&dirty[b * BLOCK_ROWS..]) {
+                    row.fill(0.0);
+                    let (idx, vals) = t.row(r as usize);
+                    for (&c, &w) in idx.iter().zip(vals) {
+                        if w == 0.0 {
+                            continue;
+                        }
+                        let prev_row = match pos[c as usize] {
+                            CLEAN => clean.row(c as usize),
+                            p => row_slice(prev_dirty, p as usize, d),
+                        };
+                        for (o, &xv) in row.iter_mut().zip(prev_row) {
+                            *o += w * xv;
+                        }
+                    }
                 }
-                let prev_row: &[f32] = match dirty.binary_search(&c) {
-                    Ok(p) => row_slice(prev_dirty, p, d),
-                    Err(_) if level == 1 => x.row(c as usize),
-                    Err(_) => old_ladder[level - 2].row(c as usize),
-                };
-                for (o, &xv) in row.iter_mut().zip(prev_row) {
-                    *o += w * xv;
-                }
-            }
-        }
+            },
+        );
     };
     let splice = |dst: &mut DenseMatrix, src: &[f32]| {
         for (j, &r) in dirty.iter().enumerate() {
@@ -743,32 +772,124 @@ mod tests {
         }
     }
 
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `t` with an explicit zero-weight entry `(row, col)` spliced in.
+    fn with_zero_entry(t: &CsrMatrix, row: usize, col: u32) -> CsrMatrix {
+        let (idx, vals) = t.row(row);
+        let at = idx.partition_point(|&c| c < col);
+        assert!(
+            idx.get(at) != Some(&col),
+            "({row}, {col}) is already stored"
+        );
+        let mut cols = idx.to_vec();
+        let mut weights = vals.to_vec();
+        cols.insert(at, col);
+        weights.insert(at, 0.0);
+        t.with_replaced_rows(&[(row, cols, weights)])
+    }
+
     #[test]
     fn laddered_repropagation_matches_cold_build_and_cold_ladder() {
         use grain_graph::edit::{apply_edge_edits, k_hop_ball};
-        let g = generators::erdos_renyi_gnm(60, 150, 13);
-        let x = features(60, 4);
+        // A sparse graph plus hub 0 joined to nodes 1..=120: the hub row's
+        // neighbours are all dirty, the ball's rim reads clean rows, and
+        // the dirty set spans several 64-row blocks.
+        let n = 2000;
+        let sparse = generators::erdos_renyi_gnm(n, n, 13);
+        let mut edges: Vec<(u32, u32)> = sparse
+            .adjacency()
+            .iter_triplets()
+            .filter(|&(u, v, _)| u < v)
+            .map(|(u, v, _)| (u, v))
+            .collect();
+        edges.extend((1..=120).map(|v| (0, v)));
+        let g = Graph::from_edges(n, &edges);
+        let x = features(n, 4);
+        let far = (121..n as u32)
+            .find(|&v| !g.has_edge(0, v))
+            .expect("the hub is not adjacent to everything");
         let (u0, v0) = (3u32, *g.neighbors(3).first().expect("node 3 has neighbors"));
-        let (edited, endpoints) = apply_edge_edits(&g, &[(0, 59, 1.25)], &[(u0, v0)]).unwrap();
+        let (edited, endpoints) = apply_edge_edits(&g, &[(0, far, 1.25)], &[(u0, v0)]).unwrap();
+        let zero_col = (121..n as u32)
+            .find(|&v| v != far && !edited.has_edge(0, v))
+            .expect("a non-neighbour of the hub");
         for kernel in Kernel::all_table1(3) {
             let k = kernel.steps();
             let t_old = transition_matrix(&g, kernel.transition_kind(), true);
             let t_new = transition_matrix(&edited, kernel.transition_kind(), true);
+            let t_old = with_zero_entry(&t_old, 0, zero_col);
+            let t_new = with_zero_entry(&t_new, 0, zero_col);
             let (old, old_ladder) = run_laddered(&t_old, kernel, &x);
             let (cold, cold_ladder) = run_laddered(&t_new, kernel, &x);
             assert_eq!(old_ladder.len(), k.saturating_sub(1), "{}", kernel.name());
             let dirty = k_hop_ball(&edited, &endpoints, k + 1);
-            let refs: Vec<&DenseMatrix> = old_ladder.iter().collect();
-            let (patched, patched_ladder) =
-                repropagate_rows_laddered(&t_new, kernel, &x, &old, &refs, &dirty);
-            assert_eq!(patched, cold, "{} patched != cold", kernel.name());
-            assert_eq!(
-                patched_ladder,
-                cold_ladder,
-                "{} patched ladder != cold ladder",
-                kernel.name()
+            assert!(
+                dirty.len() > 3 * BLOCK_ROWS && dirty.len() < n,
+                "{} dirty rows",
+                dirty.len()
             );
+            let refs: Vec<&DenseMatrix> = old_ladder.iter().collect();
+            for threads in [1usize, 2, 5] {
+                let (patched, patched_ladder) =
+                    repropagate_rows_laddered(&t_new, kernel, &x, &old, &refs, &dirty, threads);
+                let name = format!("{} at {threads} threads", kernel.name());
+                assert_eq!(bits(&patched), bits(&cold), "{name}: patched != cold");
+                assert_eq!(patched_ladder.len(), cold_ladder.len(), "{name}");
+                for (level, (a, b)) in patched_ladder.iter().zip(&cold_ladder).enumerate() {
+                    assert_eq!(bits(a), bits(b), "{name}: ladder level {level} != cold");
+                }
+            }
         }
+    }
+
+    /// 64-bit FNV-1a over the bit patterns of `X^(k)` and then each
+    /// ladder level.
+    fn fnv_bits(h: u64, m: &DenseMatrix) -> u64 {
+        m.as_slice().iter().fold(h, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+        })
+    }
+
+    #[test]
+    fn laddered_patch_after_a_hub_toggle_is_pinned() {
+        use grain_graph::edit::{apply_edge_edits, k_hop_ball};
+        let n = 20_000;
+        let g = generators::barabasi_albert(n, 4, 7);
+        let x = features(n, 8);
+        let hub = (0..n).max_by_key(|&v| g.degree(v)).expect("non-empty") as u32;
+        let far = (0..n as u32)
+            .rev()
+            .find(|&v| v != hub && !g.has_edge(hub as usize, v))
+            .expect("the hub is not adjacent to everything");
+        let (edited, endpoints) = apply_edge_edits(&g, &[(hub, far, 1.0)], &[]).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for kernel in [
+            Kernel::SymNorm { k: 2 },
+            Kernel::Ppr { k: 3, alpha: 0.1 },
+            Kernel::S2gc { k: 3, alpha: 0.1 },
+        ] {
+            let t_old = transition_matrix(&g, kernel.transition_kind(), true);
+            let t_new = transition_matrix(&edited, kernel.transition_kind(), true);
+            let (old, old_ladder) = run_laddered(&t_old, kernel, &x);
+            let refs: Vec<&DenseMatrix> = old_ladder.iter().collect();
+            let dirty = k_hop_ball(&edited, &endpoints, kernel.steps() + 1);
+            let (patched, ladder) =
+                repropagate_rows_laddered(&t_new, kernel, &x, &old, &refs, &dirty, 2);
+            h = fnv_bits(h, &patched);
+            for level in &ladder {
+                h = fnv_bits(h, level);
+            }
+        }
+        assert_eq!(
+            h, 0xa593_05e0_ce5f_a732,
+            "patched X^(k) and ladder bits moved"
+        );
     }
 
     #[test]

@@ -465,6 +465,49 @@ fn rekeyed_engine_persists_under_its_own_address_across_an_update() {
     }
 }
 
+/// A store directory that vanishes under a live service fails every
+/// later write. The failures are counted, and answers are unaffected:
+/// the update's patched engine and a cold rebuild both still equal a
+/// store-less oracle.
+#[test]
+fn failed_writes_are_counted_and_answers_hold() {
+    let scratch = ScratchDir::new("vanished");
+    let (g, x) = corpus(160, 13);
+    let delta = GraphDelta::new().insert_edge(2, 150);
+    let request = SelectionRequest::new("g", GrainConfig::ball_d(), Budget::Fixed(8));
+    let store_dir = scratch.path().join("store");
+
+    let service = GrainService::with_capacity(4)
+        .with_artifact_store(&store_dir)
+        .unwrap();
+    service.register_graph("g", g.clone(), x.clone()).unwrap();
+    service.select(&request).unwrap();
+    assert_eq!(service.store_stats().unwrap().save_failures, 0);
+    fs::remove_dir_all(&store_dir).unwrap();
+
+    service.apply_update("g", &delta).unwrap();
+    let after_update = service.store_stats().unwrap().save_failures;
+    assert!(after_update > 0, "the update's writes failed silently");
+    let patched = service.select(&request).unwrap();
+    service.pool().clear();
+    let rebuilt = service.select(&request).unwrap();
+    assert!(rebuilt.artifact_builds.propagation_builds > 0);
+    let stats = service.store_stats().unwrap();
+    assert!(stats.save_failures > after_update, "{stats:?}");
+
+    let oracle = GrainService::with_capacity(4);
+    oracle.register_graph("g", g, x).unwrap();
+    oracle.apply_update("g", &delta).unwrap();
+    let expected = oracle.select(&request).unwrap();
+    for answered in [&patched, &rebuilt] {
+        assert_eq!(answered.outcome().selected, expected.outcome().selected);
+        assert_eq!(
+            answered.outcome().objective_trace,
+            expected.outcome().objective_trace
+        );
+    }
+}
+
 /// The scratch helper itself: tests never leak store directories.
 #[test]
 fn scratch_dirs_are_cleaned_up_on_drop() {
