@@ -99,10 +99,11 @@ pub struct GrainConfig {
     /// available parallelism).
     ///
     /// Deliberately **excluded** from
-    /// [`GrainConfig::artifact_fingerprint`]: every parallel kernel uses
-    /// row-range partitioning with fixed-order reductions, so artifacts
-    /// are bit-identical at any thread count — two configs differing only
-    /// here share one warm engine and rebuild nothing.
+    /// [`GrainConfig::artifact_fingerprint`]: every parallel kernel runs
+    /// on fixed row blocks (`grain_linalg::par::for_each_block_mut`), each
+    /// row computed wholly by one worker with fixed-order reductions, so
+    /// artifacts are bit-identical at any thread count — two configs
+    /// differing only here share one warm engine and rebuild nothing.
     pub parallelism: usize,
     /// How many marginal-gain evaluations may pass between cooperative
     /// cancellation checks inside a greedy round (round boundaries are

@@ -2,23 +2,26 @@
 //!
 //! Grain's pipeline is model-free precompute: for a fixed graph and
 //! feature matrix, every §3 artifact is a pure function of a few config
-//! fields —
+//! fields. [`SelectionEngine`] keeps them in one table, one slot per
+//! stage, listed here in build order (each stage is built from stages
+//! above it):
 //!
-//! | artifact | depends on |
-//! |---|---|
-//! | transition matrix `T` | `kernel.transition_kind()` |
-//! | propagated features `X^(k)` | `kernel` |
-//! | normalized embedding | `kernel` |
-//! | influence rows `I_v(·, k)` | `kernel`, `influence_eps` |
-//! | activation index `act[u]` | rows + `theta` |
-//! | ball membership lists | embedding + `radius` |
-//! | NN `d_max` constant | embedding |
+//! | stage | artifact | keyed by |
+//! |---|---|---|
+//! | `Transition` | transition matrix `T` | `kernel.transition_kind()` |
+//! | `Propagation` | propagated features `X^(k)` + power ladder | `kernel` |
+//! | `Embedding` | L2-normalized `X^(k)` | `kernel` |
+//! | `Rows` | influence rows `I_v(·, k)` | `kernel`, `influence_eps`, `influence_row_top_k` |
+//! | `Index` | activation index `act[u]` | the rows' key + `theta` |
+//! | `Balls` | ball membership lists | `kernel`, `radius` |
+//! | `NnDmax` | NN `d_max` constant | `kernel` |
 //!
 //! — and only the greedy maximization varies with `budget` and the
-//! ablation variant. [`SelectionEngine`] materializes each artifact once,
-//! keyed by exactly the fields above, and reuses it across `select` calls:
-//! a budget sweep, a γ/θ sensitivity scan, or a serving loop answering
-//! many selection requests over one corpus pays the heavy stages once.
+//! ablation variant. Each slot holds one artifact and the key it was
+//! built under; a request rebuilds exactly the stages whose key its
+//! config changed and reuses the rest, so a budget sweep, a γ/θ
+//! sensitivity scan, or a serving loop answering many selection requests
+//! over one corpus pays the heavy stages once.
 //!
 //! Greedy itself is reused too. Its picks do not depend on the budget
 //! (a run at budget `b` is a prefix of any longer run), so the engine
@@ -34,10 +37,12 @@
 //!
 //! The artifact hot paths (propagation SpMM rounds, influence rows, the
 //! activation-index inversion, ball lists, NN `d_max`) run over
-//! [`GrainConfig::parallelism`] worker threads with row-range
-//! partitioning and fixed-order reductions, so every artifact is
-//! **bit-identical at any thread count** — which is why `parallelism` is
-//! not part of any cache key or of the artifact fingerprint.
+//! [`GrainConfig::parallelism`] worker threads on fixed row blocks
+//! ([`grain_linalg::par::for_each_block_mut`]); each row is computed
+//! wholly by one worker and reductions run in a fixed order, so every
+//! artifact is **bit-identical at any thread count** — which is why
+//! `parallelism` is not part of any stage key or of the artifact
+//! fingerprint.
 
 use crate::cancel::{CancelCause, CancelToken, OnDeadline};
 use crate::config::{DiversityKind, GrainConfig, GrainVariant, GreedyAlgorithm};
@@ -48,13 +53,14 @@ use crate::greedy::{lazy_greedy, plain_greedy, replay, GreedyTrace};
 use crate::objective::{DimObjective, DiversityScope};
 use crate::prune::prune_candidates;
 use crate::selector::{Completion, SelectionOutcome, SelectionTimings};
-use crate::store::{ArtifactStore, ContentAddress, Payload, PendingArtifact};
+use crate::store::{ArtifactKind, ArtifactStore, ContentAddress, Payload, PendingArtifact};
 use grain_graph::{transition_matrix, transition_rows, CsrMatrix, Graph, TransitionKind};
 use grain_influence::walk::kernel_power_weights;
 use grain_influence::{ActivationIndex, InfluenceRows, ThetaRule};
 use grain_linalg::distance::{self, BallLists};
 use grain_linalg::DenseMatrix;
-use grain_prop::cache::PropagationCache;
+use grain_prop::propagate::repropagate_rows_laddered;
+use grain_prop::{propagate_with, repropagate_rows, Kernel};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -254,17 +260,6 @@ impl EngineStats {
     }
 }
 
-/// Cache key for artifacts derived from the propagation kernel. `f32`
-/// parameters are compared by bit pattern via [`grain_prop::Kernel::cache_key`].
-type KernelKey = String;
-
-/// Cache key of the influence rows: (kernel, `influence_eps` bits,
-/// `influence_row_top_k`).
-type RowsKey = (KernelKey, u32, usize);
-
-/// Cache key of the activation index: the rows key plus `theta`.
-type IndexKey = (KernelKey, u32, usize, ThetaRule);
-
 /// Exact resident heap bytes of each cached artifact class — the memory
 /// ledger behind [`SelectionEngine::artifact_bytes`]. All counts are
 /// *current* residency: an artifact not (yet) built counts zero. The flat
@@ -281,7 +276,7 @@ pub struct ArtifactBytes {
     pub influence_rows: usize,
     /// Activation index (flat CSR offsets + items).
     pub activation_index: usize,
-    /// Ball membership lists (per-ball `Vec` headers + entries).
+    /// Ball membership lists (flat CSR offsets + members).
     pub balls: usize,
     /// The greedy trace cache: the cached run's pool copy and trace.
     pub greedy_trace: usize,
@@ -301,10 +296,255 @@ impl ArtifactBytes {
     }
 }
 
-/// Ball membership lists keyed by (kernel, radius bits), shared with the
-/// per-selection `BallDiversity` instances without copying; the union
-/// coverage bound rides along so warm selects touch no list.
-type BallCache = Option<((KernelKey, u32), (Arc<BallLists>, usize))>;
+/// The artifact stages, in build order: `Propagation` and `Rows` are
+/// built from `Transition`, `Embedding` from `Propagation`, `Index` from
+/// `Rows`, and the diversity precomputes `Balls` and `NnDmax` from
+/// `Embedding`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stage {
+    Transition,
+    Propagation,
+    Embedding,
+    Rows,
+    Index,
+    Balls,
+    NnDmax,
+}
+
+impl Stage {
+    const COUNT: usize = 7;
+    const ALL: [Stage; Stage::COUNT] = [
+        Stage::Transition,
+        Stage::Propagation,
+        Stage::Embedding,
+        Stage::Rows,
+        Stage::Index,
+        Stage::Balls,
+        Stage::NnDmax,
+    ];
+
+    /// The stage's key under `config`: exactly the fields its artifact is
+    /// a pure function of, `f32`s by bit pattern.
+    fn key(self, config: &GrainConfig) -> StageKey {
+        let kernel = config.kernel;
+        let eps = config.influence_eps.to_bits();
+        let top_k = config.influence_row_top_k;
+        match self {
+            Stage::Transition => StageKey::Transition(kernel.transition_kind()),
+            Stage::Propagation | Stage::Embedding | Stage::NnDmax => StageKey::Kernel(kernel),
+            Stage::Rows => StageKey::Rows(kernel, eps, top_k),
+            Stage::Index => StageKey::Index(kernel, eps, top_k, config.theta),
+            Stage::Balls => StageKey::Balls(kernel, config.radius.to_bits()),
+        }
+    }
+
+    /// The fail-point site a build of this stage crosses, followed by a
+    /// cancellation checkpoint, before any work. The transition and the
+    /// embedding are never interrupted.
+    fn site(self) -> Option<&'static str> {
+        match self {
+            Stage::Transition | Stage::Embedding => None,
+            Stage::Propagation => Some("engine.build.propagation"),
+            Stage::Rows => Some("engine.build.rows"),
+            Stage::Index => Some("engine.build.index"),
+            Stage::Balls => Some("engine.build.balls"),
+            Stage::NnDmax => Some("engine.build.nn_dmax"),
+        }
+    }
+
+    /// The store kind this stage persists as, if any.
+    fn kind(self) -> Option<ArtifactKind> {
+        match self {
+            Stage::Propagation => Some(ArtifactKind::Propagation),
+            Stage::Rows => Some(ArtifactKind::InfluenceRows),
+            Stage::Index => Some(ArtifactKind::ActivationIndex),
+            _ => None,
+        }
+    }
+
+    /// This stage's build counter in `stats`.
+    fn counter(self, stats: &mut EngineStats) -> &mut usize {
+        match self {
+            Stage::Transition => &mut stats.transition_builds,
+            Stage::Propagation => &mut stats.propagation_builds,
+            Stage::Embedding => &mut stats.embedding_builds,
+            Stage::Rows => &mut stats.influence_builds,
+            Stage::Index => &mut stats.index_builds,
+            Stage::Balls | Stage::NnDmax => &mut stats.diversity_builds,
+        }
+    }
+}
+
+/// The config fields one stage's artifact was built under (see
+/// [`Stage::key`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum StageKey {
+    Transition(TransitionKind),
+    Kernel(Kernel),
+    /// Kernel, `influence_eps` bits, `influence_row_top_k`.
+    Rows(Kernel, u32, usize),
+    /// The rows' key plus `theta`.
+    Index(Kernel, u32, usize, ThetaRule),
+    /// Kernel, `radius` bits.
+    Balls(Kernel, u32),
+}
+
+/// `X^(k)` with its power ladder, the states after steps `1..k-1` (see
+/// [`grain_prop::propagate_with`]), which keeps a delta's repair
+/// proportional to its dirty rows. A seeded value, or a stored one whose
+/// ladder does not fit, has an empty ladder and repairs through the
+/// reverse cone instead.
+pub(crate) struct Propagated {
+    pub(crate) value: Arc<DenseMatrix>,
+    pub(crate) ladder: Vec<DenseMatrix>,
+}
+
+impl Propagated {
+    /// Whether the ladder has the `k - 1` levels of `value`'s shape that
+    /// level-local repair reads.
+    fn ladder_fits(&self, kernel: Kernel) -> bool {
+        self.ladder.len() == kernel.steps().saturating_sub(1)
+            && self.ladder.iter().all(|l| l.shape() == self.value.shape())
+    }
+
+    /// This `X^(k)` after a corpus delta: the `dirty` rows recomputed
+    /// against `transition` and `features` (the mutated corpus's), the
+    /// rest copied. A fitting ladder repairs level-locally (`O(k · |dirty|)`
+    /// SpMM rows over `threads` workers) and is repaired alongside; any
+    /// other falls back to the serial reverse cone and stays ladder-free.
+    fn repaired(
+        &self,
+        transition: &CsrMatrix,
+        kernel: Kernel,
+        features: &DenseMatrix,
+        dirty: &[u32],
+        threads: usize,
+    ) -> Propagated {
+        let old = &self.value;
+        let (value, ladder) = if self.ladder_fits(kernel) {
+            let levels: Vec<&DenseMatrix> = self.ladder.iter().collect();
+            repropagate_rows_laddered(transition, kernel, features, old, &levels, dirty, threads)
+        } else {
+            let value = repropagate_rows(transition, kernel, features, old, dirty);
+            (value, Vec::new())
+        };
+        let value = Arc::new(value);
+        Propagated { value, ladder }
+    }
+}
+
+/// One stage's slot: the key its artifact was built under and the
+/// artifact, an `Arc` or a `Copy` value.
+type Slot<T> = Option<(StageKey, T)>;
+
+/// Typed reads of one slot.
+trait SlotExt<T> {
+    /// The key the slot's artifact was built under, if it holds one.
+    fn key(&self) -> Option<StageKey>;
+    /// The artifact if it was built under `key`.
+    fn held(&self, key: StageKey) -> Option<&T>;
+    /// The artifact of a stage the caller ensured.
+    fn ensured(&self) -> &T;
+}
+
+impl<T> SlotExt<T> for Slot<T> {
+    fn key(&self) -> Option<StageKey> {
+        self.as_ref().map(|(k, _)| *k)
+    }
+
+    fn held(&self, key: StageKey) -> Option<&T> {
+        self.as_ref().filter(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    fn ensured(&self) -> &T {
+        &self.as_ref().expect("stage ensured").1
+    }
+}
+
+/// The engine's artifact table: one slot per [`Stage`]. Every slot
+/// clones in O(1), so a clone is a snapshot of the engine's artifacts.
+#[derive(Clone, Default)]
+struct Artifacts {
+    transition: Slot<Arc<CsrMatrix>>,
+    propagation: Slot<Arc<Propagated>>,
+    embedding: Slot<Arc<DenseMatrix>>,
+    rows: Slot<Arc<InfluenceRows>>,
+    index: Slot<Arc<ActivationIndex>>,
+    /// The lists, shared with each `BallDiversity` without copying, and
+    /// their union size, so warm selects touch no list.
+    balls: Slot<(Arc<BallLists>, usize)>,
+    nn_dmax: Slot<f32>,
+}
+
+impl Artifacts {
+    /// The key `stage`'s slot holds, if it holds an artifact.
+    fn key(&self, stage: Stage) -> Option<StageKey> {
+        match stage {
+            Stage::Transition => self.transition.key(),
+            Stage::Propagation => self.propagation.key(),
+            Stage::Embedding => self.embedding.key(),
+            Stage::Rows => self.rows.key(),
+            Stage::Index => self.index.key(),
+            Stage::Balls => self.balls.key(),
+            Stage::NnDmax => self.nn_dmax.key(),
+        }
+    }
+
+    /// Resident heap bytes of `stage`'s artifact; zero for an empty slot.
+    fn bytes(&self, stage: Stage) -> usize {
+        use std::mem::size_of;
+        let dense = |m: &DenseMatrix| m.rows() * m.cols() * size_of::<f32>();
+        let held = match stage {
+            Stage::Transition => self.transition.as_ref().map(|(_, t)| {
+                (t.rows() + 1) * size_of::<usize>()
+                    + t.nnz() * (size_of::<u32>() + size_of::<f32>())
+            }),
+            Stage::Propagation => self
+                .propagation
+                .as_ref()
+                .map(|(_, p)| dense(&p.value) + p.ladder.iter().map(dense).sum::<usize>()),
+            Stage::Embedding => self.embedding.as_ref().map(|(_, e)| dense(e)),
+            Stage::Rows => self.rows.as_ref().map(|(_, r)| r.resident_bytes()),
+            Stage::Index => self.index.as_ref().map(|(_, i)| i.resident_bytes()),
+            Stage::Balls => self.balls.as_ref().map(|(_, (l, _))| l.resident_bytes()),
+            Stage::NnDmax => None,
+        };
+        held.unwrap_or(0)
+    }
+
+    /// `stage`'s artifact as a store payload, if the stage persists and
+    /// its slot holds `key`. Clones an `Arc`.
+    fn payload(&self, stage: Stage, key: StageKey) -> Option<Payload> {
+        match stage {
+            Stage::Propagation => self
+                .propagation
+                .held(key)
+                .map(|p| Payload::Propagation(Arc::clone(p))),
+            Stage::Rows => self.rows.held(key).map(|r| Payload::Rows(Arc::clone(r))),
+            Stage::Index => self.index.held(key).map(|i| Payload::Index(Arc::clone(i))),
+            _ => None,
+        }
+    }
+
+    /// Adopts a stored `payload` under `key` if it fits an `n`-node
+    /// corpus with `d` feature columns and `kernel`'s depth. A ladder that
+    /// does not fit is dropped and the value kept.
+    fn adopt(&mut self, key: StageKey, payload: Payload, n: usize, d: usize, kernel: Kernel) {
+        let k = kernel.steps();
+        match payload {
+            Payload::Propagation(mut p) if p.value.shape() == (n, d) => {
+                if !p.ladder_fits(kernel) {
+                    let (value, ladder) = (Arc::clone(&p.value), Vec::new());
+                    p = Arc::new(Propagated { value, ladder });
+                }
+                self.propagation = Some((key, p));
+            }
+            Payload::Rows(r) if r.num_nodes() == n && r.k() == k => self.rows = Some((key, r)),
+            Payload::Index(i) if i.num_nodes() == n && i.k() == k => self.index = Some((key, i)),
+            _ => {}
+        }
+    }
+}
 
 /// Staged Grain pipeline with per-artifact caching over one (graph,
 /// features) pair.
@@ -322,13 +562,7 @@ pub struct SelectionEngine {
     config: GrainConfig,
     graph: Arc<Graph>,
     features: Arc<DenseMatrix>,
-    propagation: PropagationCache,
-    transition: Option<(TransitionKind, CsrMatrix)>,
-    embedding: Option<(KernelKey, Arc<DenseMatrix>)>,
-    rows: Option<(RowsKey, Arc<InfluenceRows>)>,
-    index: Option<(IndexKey, Arc<ActivationIndex>)>,
-    balls: BallCache,
-    nn_dmax: Option<(KernelKey, f32)>,
+    artifacts: Artifacts,
     traces: TraceCache,
     stats: EngineStats,
 }
@@ -358,18 +592,11 @@ impl SelectionEngine {
                 num_nodes: graph.num_nodes(),
             });
         }
-        let propagation = PropagationCache::new(Arc::clone(&graph), Arc::clone(&features));
         Ok(Self {
             config,
             graph,
             features,
-            propagation,
-            transition: None,
-            embedding: None,
-            rows: None,
-            index: None,
-            balls: None,
-            nn_dmax: None,
+            artifacts: Artifacts::default(),
             traces: TraceCache::new(true),
             stats: EngineStats::default(),
         })
@@ -405,32 +632,42 @@ impl SelectionEngine {
     /// core-set methods) smooth their distances on, so Grain and every
     /// baseline read bit-identical propagation from one store.
     pub fn propagated(&mut self) -> Arc<DenseMatrix> {
-        self.ensure_transition();
-        self.ensure_propagation(&CancelToken::new())
+        self.ensure([Stage::Transition, Stage::Propagation], &CancelToken::new())
             .expect(UNCANCELLED);
-        self.propagation
-            .get_cached(self.config.kernel)
-            .expect("propagation ensured")
+        Arc::clone(&self.artifacts.propagation.ensured().value)
     }
 
-    /// Seeds the propagation cache with an externally computed `X^(k)`
+    /// Seeds the propagation slot with an externally computed `X^(k)`
     /// for the active kernel, sharing the allocation — used when this
     /// engine is a private companion of another engine (e.g. a
     /// [`crate::service::GrainService`]-pooled one) that already holds
-    /// the artifact, so it is never re-propagated here.
+    /// the artifact, so it is never re-propagated here. A seeded value
+    /// carries no power ladder, so a later delta repairs it through the
+    /// reverse cone.
     ///
     /// # Panics
     /// Panics if `value` does not have one row per graph node.
     pub fn seed_propagated(&mut self, value: Arc<DenseMatrix>) {
-        self.propagation.seed(self.config.kernel, value);
+        assert_eq!(
+            value.rows(),
+            self.graph.num_nodes(),
+            "seeded rows ({}) must match node count ({})",
+            value.rows(),
+            self.graph.num_nodes()
+        );
+        let key = Stage::Propagation.key(&self.config);
+        let ladder = Vec::new();
+        self.artifacts.propagation = Some((key, Arc::new(Propagated { value, ladder })));
     }
 
-    /// The cached `X^(k)` for `kernel` if this engine has already
-    /// propagated (or been seeded with) it — computes nothing on a miss.
+    /// The held `X^(k)` if it is `kernel`'s — computes nothing on a miss.
     /// Siblings over the same corpus use this to seed each other via
     /// [`SelectionEngine::seed_propagated`].
-    pub fn propagated_if_cached(&self, kernel: grain_prop::Kernel) -> Option<Arc<DenseMatrix>> {
-        self.propagation.get_cached(kernel)
+    pub fn propagated_if_cached(&self, kernel: Kernel) -> Option<Arc<DenseMatrix>> {
+        self.artifacts
+            .propagation
+            .held(StageKey::Kernel(kernel))
+            .map(|p| Arc::clone(&p.value))
     }
 
     // ---- artifact store seam ---------------------------------------------
@@ -442,21 +679,6 @@ impl SelectionEngine {
     // no build counter, which is what keeps `pending_built` from
     // re-persisting what was just loaded.
 
-    /// The influence-row cache key of the active config.
-    fn rows_key(&self) -> RowsKey {
-        (
-            self.config.kernel.cache_key(),
-            self.config.influence_eps.to_bits(),
-            self.config.influence_row_top_k,
-        )
-    }
-
-    /// The activation-index cache key of the active config.
-    fn index_key(&self) -> IndexKey {
-        let (kernel, eps, top_k) = self.rows_key();
-        (kernel, eps, top_k, self.config.theta)
-    }
-
     /// The store address of the active config's artifacts over the corpus
     /// snapshot `(graph_fingerprint, epoch)`.
     fn address(&self, graph_fingerprint: u64, epoch: u64) -> ContentAddress {
@@ -467,13 +689,13 @@ impl SelectionEngine {
         }
     }
 
-    /// Fills the stage caches of a fresh engine for its active config, in
+    /// Fills the stage slots of a fresh engine for its active config, in
     /// cost order: `sibling` (another resident engine's `X^(k)` for the
     /// active kernel) beats the store's `X^(k)`; the store supplies the
-    /// influence rows and the activation index. Every load is
-    /// best-effort: a miss, a corrupt file (counted in `StoreStats`) or a
-    /// shape mismatch leaves that stage to its cold build, and a
-    /// validated hit is adopted bit-identically.
+    /// other persisted stages. Every load is best-effort: a miss, a
+    /// corrupt file (counted in `StoreStats`) or a shape mismatch leaves
+    /// that stage to its cold build, and a validated hit is adopted
+    /// bit-identically.
     pub(crate) fn adopt(
         &mut self,
         sibling: Option<Arc<DenseMatrix>>,
@@ -488,24 +710,17 @@ impl SelectionEngine {
             return;
         };
         let addr = self.address(graph_fingerprint, epoch);
-        let (n, k) = (self.graph.num_nodes(), self.config.kernel.steps());
-        if !self.propagation.contains(self.config.kernel) {
-            if let Ok(Some((value, ladder))) = store.load_propagation(&addr) {
-                if value.rows() == n && value.cols() == self.features.cols() {
-                    let ladder = ladder.into_iter().map(Arc::new).collect();
-                    self.propagation
-                        .seed_with_ladder(self.config.kernel, Arc::new(value), ladder);
-                }
+        let (n, d) = (self.graph.num_nodes(), self.features.cols());
+        for stage in Stage::ALL {
+            let key = stage.key(&self.config);
+            let Some(kind) = stage.kind() else {
+                continue;
+            };
+            if self.artifacts.key(stage) == Some(key) {
+                continue; // a sibling's X^(k)
             }
-        }
-        if let Ok(Some(rows)) = store.load_rows(&addr) {
-            if rows.num_nodes() == n && rows.k() == k {
-                self.rows = Some((self.rows_key(), Arc::new(rows)));
-            }
-        }
-        if let Ok(Some(index)) = store.load_index(&addr) {
-            if index.num_nodes() == n && index.k() == k {
-                self.index = Some((self.index_key(), Arc::new(index)));
+            if let Ok(Some(payload)) = store.load_payload(&addr, kind) {
+                self.artifacts.adopt(key, payload, n, d, self.config.kernel);
             }
         }
     }
@@ -520,28 +735,14 @@ impl SelectionEngine {
         graph_fingerprint: u64,
         epoch: u64,
     ) -> Vec<PendingArtifact> {
-        if built.propagation_builds + built.influence_builds + built.index_builds == 0 {
+        let mut built = *built;
+        let payloads: Vec<Payload> = Stage::ALL
+            .into_iter()
+            .filter(|&stage| *stage.counter(&mut built) > 0)
+            .filter_map(|stage| self.artifacts.payload(stage, stage.key(&self.config)))
+            .collect();
+        if payloads.is_empty() {
             return Vec::new();
-        }
-        let mut payloads = Vec::new();
-        let kernel = self.config.kernel;
-        if built.propagation_builds > 0 {
-            if let Some(value) = self.propagation.get_cached(kernel) {
-                payloads.push(Payload::Propagation(
-                    value,
-                    self.propagation.cached_ladder(kernel),
-                ));
-            }
-        }
-        if built.influence_builds > 0 {
-            if let Some((_, rows)) = self.rows.as_ref().filter(|(k, _)| *k == self.rows_key()) {
-                payloads.push(Payload::Rows(Arc::clone(rows)));
-            }
-        }
-        if built.index_builds > 0 {
-            if let Some((_, index)) = self.index.as_ref().filter(|(k, _)| *k == self.index_key()) {
-                payloads.push(Payload::Index(Arc::clone(index)));
-            }
         }
         let addr = self.address(graph_fingerprint, epoch);
         payloads
@@ -599,28 +800,15 @@ impl SelectionEngine {
     /// artifacts count zero, so a cold engine reports all zeros and the
     /// count grows monotonically as `select` materializes stages.
     pub fn artifact_bytes(&self) -> ArtifactBytes {
-        let dense_bytes = |m: &DenseMatrix| m.rows() * m.cols() * std::mem::size_of::<f32>();
-        let transition = self.transition.as_ref().map_or(0, |(_, t)| {
-            (t.rows() + 1) * std::mem::size_of::<usize>()
-                + t.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f32>())
-        });
-        let propagation = self.propagation.resident_bytes(self.config.kernel);
-        let embedding = self.embedding.as_ref().map_or(0, |(_, e)| dense_bytes(e));
-        let influence_rows = self.rows.as_ref().map_or(0, |(_, r)| r.resident_bytes());
-        let activation_index = self.index.as_ref().map_or(0, |(_, i)| i.resident_bytes());
-        let balls = self
-            .balls
-            .as_ref()
-            .map_or(0, |(_, (lists, _))| lists.resident_bytes());
-        let greedy_trace = self.traces.last.as_ref().map_or(0, CachedRun::bytes);
+        let bytes = |stage| self.artifacts.bytes(stage);
         ArtifactBytes {
-            transition,
-            propagation,
-            embedding,
-            influence_rows,
-            activation_index,
-            balls,
-            greedy_trace,
+            transition: bytes(Stage::Transition),
+            propagation: bytes(Stage::Propagation),
+            embedding: bytes(Stage::Embedding),
+            influence_rows: bytes(Stage::Rows),
+            activation_index: bytes(Stage::Index),
+            balls: bytes(Stage::Balls),
+            greedy_trace: self.traces.last.as_ref().map_or(0, CachedRun::bytes),
         }
     }
 
@@ -752,22 +940,29 @@ impl SelectionEngine {
         let t0 = Instant::now();
         cancel.checkpoint()?;
 
-        // 1. Decoupled propagation (Eq. 6) on the kernel's transition matrix.
-        self.ensure_transition();
-        self.ensure_propagation(cancel)?;
-        let propagation = t0.elapsed();
-
-        // 2. Influence rows under the kernel Jacobian (Def. 3.1 / Eq. 9).
-        let t1 = Instant::now();
-        self.ensure_rows(cancel)?;
-        let influence = t1.elapsed();
-
-        // 3. Activation index (Def. 3.2) + diversity precomputation (§3.3).
-        let t2 = Instant::now();
-        self.ensure_index(cancel)?;
-        self.ensure_embedding();
-        self.ensure_diversity(variant, cancel)?;
-        let indexing = t2.elapsed();
+        // 1–3. Decoupled propagation (Eq. 6) on the kernel's transition
+        // matrix, influence rows under the kernel Jacobian (Def. 3.1 /
+        // Eq. 9), the activation index (Def. 3.2) and the diversity
+        // precomputation (§3.3) the variant needs.
+        let diversity = diversity_kind(variant, self.config.diversity).map(|kind| match kind {
+            DiversityKind::Ball => Stage::Balls,
+            DiversityKind::Nn => Stage::NnDmax,
+        });
+        // The embedding follows the index, so it is not yet resident
+        // while the influence walk holds its scratch.
+        let stages = [
+            Stage::Transition,
+            Stage::Propagation,
+            Stage::Rows,
+            Stage::Index,
+            Stage::Embedding,
+        ];
+        let spent = self.ensure(stages.into_iter().chain(diversity), cancel)?;
+        let at = |stage: Stage| spent[stage as usize];
+        let propagation = at(Stage::Transition) + at(Stage::Propagation);
+        let influence = at(Stage::Rows);
+        let indexing =
+            at(Stage::Embedding) + at(Stage::Index) + at(Stage::Balls) + at(Stage::NnDmax);
 
         // 4. Greedy DIM maximization (Algorithm 1 / CELF) — the only stage
         // that depends on budget and variant, and the only stage that may
@@ -792,7 +987,7 @@ impl SelectionEngine {
             (Some(run), _) => (Cow::Borrowed(&[]), run.pool_len),
             (None, None) => (Cow::Borrowed(candidates), candidates.len()),
             (None, Some(strategy)) => {
-                let rows = &self.rows.as_ref().expect("rows ensured").1;
+                let rows = self.artifacts.rows.ensured();
                 let pool = prune_candidates(strategy, &self.graph, rows, candidates);
                 let len = pool.len();
                 (Cow::Owned(pool), len)
@@ -908,28 +1103,24 @@ impl SelectionEngine {
     /// interpretability consumers read it from the same store instead of
     /// re-normalizing the propagation themselves.
     pub fn normalized_embedding(&mut self) -> Arc<DenseMatrix> {
-        self.ensure_transition();
-        self.ensure_propagation(&CancelToken::new())
-            .expect(UNCANCELLED);
-        self.ensure_embedding();
-        Arc::clone(&self.embedding.as_ref().expect("embedding ensured").1)
+        let stages = [Stage::Transition, Stage::Propagation, Stage::Embedding];
+        self.ensure(stages, &CancelToken::new()).expect(UNCANCELLED);
+        Arc::clone(self.artifacts.embedding.ensured())
     }
 
     /// The activation index under the current config (built or cached) —
     /// interpretability experiments read activation lists directly.
     pub fn activation_index(&mut self) -> &ActivationIndex {
-        let never = CancelToken::new();
-        self.ensure_transition();
-        self.ensure_rows(&never).expect(UNCANCELLED);
-        self.ensure_index(&never).expect(UNCANCELLED);
-        &self.index.as_ref().expect("index ensured").1
+        let stages = [Stage::Transition, Stage::Rows, Stage::Index];
+        self.ensure(stages, &CancelToken::new()).expect(UNCANCELLED);
+        self.artifacts.index.ensured()
     }
 
     /// The influence rows under the current config (built or cached).
     pub fn influence_rows(&mut self) -> &InfluenceRows {
-        self.ensure_transition();
-        self.ensure_rows(&CancelToken::new()).expect(UNCANCELLED);
-        &self.rows.as_ref().expect("rows ensured").1
+        let stages = [Stage::Transition, Stage::Rows];
+        self.ensure(stages, &CancelToken::new()).expect(UNCANCELLED);
+        self.artifacts.rows.ensured()
     }
 
     /// Derives an engine over the mutated corpus `(graph, features)` by
@@ -949,9 +1140,11 @@ impl SelectionEngine {
     ///   [`CsrMatrix::with_replaced_rows`]; rebuilt cold only when no
     ///   transition of the right kind is cached;
     /// * **propagation** — dirty rows re-propagated level-locally via
-    ///   [`PropagationCache::repropagate_rows`] against the donor's power
-    ///   ladder (`O(k · |dirty|)` SpMM rows over `parallelism` workers),
-    ///   clean rows `memcpy`d;
+    ///   [`grain_prop::propagate::repropagate_rows_laddered`] against the
+    ///   donor's power ladder (`O(k · |dirty|)` SpMM rows over
+    ///   `parallelism` workers), clean rows `memcpy`d; a donor without a
+    ///   fitting ladder repairs through the reverse cone
+    ///   ([`grain_prop::repropagate_rows`]);
     /// * **embedding** — clean rows `memcpy`d from the old embedding
     ///   (their `X^(k)` rows are bit-identical, so their normalizations
     ///   are too), dirty rows re-normalized with the same per-row op as
@@ -963,8 +1156,8 @@ impl SelectionEngine {
     /// * **ball lists / NN `d_max`** — dropped (rebuilt lazily on the next
     ///   select that needs them).
     ///
-    /// Only artifacts cached under the *active* config are migrated; stale
-    /// cache slots from earlier configs are dropped. Callers must not
+    /// Only artifacts held under the *active* config are migrated; slots
+    /// holding an earlier config's artifact are dropped. Callers must not
     /// invoke this for triangle-induced kernels (a single edge edit can
     /// dirty every triangle count, so those engines rebuild cold).
     pub(crate) fn patched(
@@ -982,93 +1175,89 @@ impl SelectionEngine {
             TransitionKind::TriangleInduced,
             "triangle-induced engines are rebuilt cold, not patched"
         );
-        let kernel = config.kernel;
-        let kernel_key = kernel.cache_key();
-        let mut timings = PatchTimings::default();
-        let stage = Instant::now();
-        let t_new = match self.transition.as_ref().filter(|(k, _)| *k == kind) {
-            Some((_, t_old)) => {
-                t_old.with_replaced_rows(&transition_rows(&graph, kind, true, dirty_transition))
-            }
-            None => transition_matrix(&graph, kind, true),
-        };
-        timings.transition = stage.elapsed();
+        let threads = config.parallelism;
+        let (old, mut new) = (&self.artifacts, Artifacts::default());
         let mut stats = self.stats;
-        stats.transition_builds += 1;
-
-        let mut propagation = PropagationCache::new(Arc::clone(&graph), Arc::clone(&features));
-        let mut embedding = None;
-        if let Some(old_x) = self.propagation.get_cached(kernel) {
-            let stage = Instant::now();
-            let old_ladder = self.propagation.cached_ladder(kernel);
-            let patched_x = propagation.repropagate_rows(
-                kernel,
-                &t_new,
-                &old_x,
-                &old_ladder,
-                dirty_propagation,
-                config.parallelism,
-            );
-            timings.propagation = stage.elapsed();
-            stats.propagation_builds += 1;
-            if let Some((_, old_e)) = self.embedding.as_ref().filter(|(k, _)| *k == kernel_key) {
-                let stage = Instant::now();
-                let mut e = (**old_e).clone();
-                for &v in dirty_propagation {
-                    let r = v as usize;
-                    let row = e.row_mut(r);
-                    row.copy_from_slice(patched_x.row(r));
-                    grain_linalg::ops::l2_normalize_row(row);
+        let mut spent = [Duration::ZERO; Stage::COUNT];
+        for stage in Stage::ALL {
+            let key = stage.key(&config);
+            let start = Instant::now();
+            match stage {
+                Stage::Transition => {
+                    let t = match old.transition.held(key) {
+                        Some(t_old) => t_old.with_replaced_rows(&transition_rows(
+                            &graph,
+                            kind,
+                            true,
+                            dirty_transition,
+                        )),
+                        None => transition_matrix(&graph, kind, true),
+                    };
+                    new.transition = Some((key, Arc::new(t)));
                 }
-                timings.embedding = stage.elapsed();
-                embedding = Some((kernel_key, Arc::new(e)));
-                stats.embedding_builds += 1;
+                Stage::Propagation => {
+                    let Some(p) = old.propagation.held(key) else {
+                        continue;
+                    };
+                    let t = new.transition.ensured();
+                    let p = p.repaired(t, config.kernel, &features, dirty_propagation, threads);
+                    new.propagation = Some((key, Arc::new(p)));
+                }
+                Stage::Embedding => {
+                    let (Some(e), Some((_, p))) = (old.embedding.held(key), &new.propagation)
+                    else {
+                        continue;
+                    };
+                    // Clean rows keep their bits; dirty rows are
+                    // re-normalized with the full pass's per-row op.
+                    let mut e = (**e).clone();
+                    for &v in dirty_propagation {
+                        let row = e.row_mut(v as usize);
+                        row.copy_from_slice(p.value.row(v as usize));
+                        grain_linalg::ops::l2_normalize_row(row);
+                    }
+                    new.embedding = Some((key, Arc::new(e)));
+                }
+                Stage::Rows => {
+                    let Some(rows) = old.rows.held(key) else {
+                        continue;
+                    };
+                    let rows = rows.with_rebuilt_rows(
+                        new.transition.ensured(),
+                        config.kernel,
+                        config.influence_eps,
+                        config.influence_row_top_k,
+                        dirty_influence,
+                        threads,
+                    );
+                    new.rows = Some((key, Arc::new(rows)));
+                }
+                Stage::Index => {
+                    let (Some(index), Some((_, rows))) = (old.index.held(key), &new.rows) else {
+                        continue;
+                    };
+                    let index = index.repaired(rows, config.theta, dirty_influence);
+                    new.index = Some((key, Arc::new(index)));
+                }
+                // Rebuilt lazily by the next select that needs them.
+                Stage::Balls | Stage::NnDmax => continue,
             }
+            spent[stage as usize] = start.elapsed();
+            *stage.counter(&mut stats) += 1;
         }
-
-        let rows_key = self.rows_key();
-        let mut rows = None;
-        if let Some((key, old_rows)) = self.rows.as_ref() {
-            if *key == rows_key {
-                let stage = Instant::now();
-                let rebuilt = old_rows.with_rebuilt_rows(
-                    &t_new,
-                    kernel,
-                    config.influence_eps,
-                    config.influence_row_top_k,
-                    dirty_influence,
-                    config.parallelism,
-                );
-                timings.influence = stage.elapsed();
-                rows = Some((rows_key.clone(), Arc::new(rebuilt)));
-                stats.influence_builds += 1;
-            }
-        }
-
-        let index_key = self.index_key();
-        let mut index = None;
-        if let (Some((key, old_index)), Some((_, new_rows))) = (self.index.as_ref(), rows.as_ref())
-        {
-            if *key == index_key {
-                let stage = Instant::now();
-                let repaired = old_index.repaired(new_rows, config.theta, dirty_influence);
-                timings.index = stage.elapsed();
-                index = Some((index_key, Arc::new(repaired)));
-                stats.index_builds += 1;
-            }
-        }
-
+        let at = |stage: Stage| spent[stage as usize];
+        let timings = PatchTimings {
+            transition: at(Stage::Transition),
+            propagation: at(Stage::Propagation),
+            embedding: at(Stage::Embedding),
+            influence: at(Stage::Rows),
+            index: at(Stage::Index),
+        };
         let engine = SelectionEngine {
             config,
             graph,
             features,
-            propagation,
-            transition: Some((kind, t_new)),
-            embedding,
-            rows,
-            index,
-            balls: None,
-            nn_dmax: None,
+            artifacts: new,
             // Runs over the old corpus answer nothing on the new one.
             traces: TraceCache::new(self.traces.enabled),
             stats,
@@ -1076,137 +1265,94 @@ impl SelectionEngine {
         (engine, timings)
     }
 
-    fn ensure_transition(&mut self) {
-        let kind = self.config.kernel.transition_kind();
-        if self.transition.as_ref().map(|(k, _)| *k) != Some(kind) {
-            let t = transition_matrix(&self.graph, kind, true);
-            self.transition = Some((kind, t));
-            self.stats.transition_builds += 1;
-        }
-    }
-
-    /// Builds `X^(k)` unless cached, polling `cancel` between SpMM power
-    /// steps. A cancelled build caches nothing (no torn artifacts) and
-    /// bumps no build counter; the next request starts fresh.
-    fn ensure_propagation(&mut self, cancel: &CancelToken) -> GrainResult<()> {
-        let kernel = self.config.kernel;
-        if self.propagation.contains(kernel) {
-            return Ok(());
-        }
-        fault::point("engine.build.propagation", Some(cancel));
-        cancel.checkpoint()?;
-        let transition = &self.transition.as_ref().expect("transition ensured").1;
-        match self
-            .propagation
-            .get_with(kernel, transition, self.config.parallelism, &|| {
-                cancel.is_cancelled()
-            }) {
-            Some(_) => {
-                self.stats.propagation_builds += 1;
-                Ok(())
+    /// Builds each of `stages` (in order, each after the stages it is
+    /// built from) whose slot does not hold the active config's key, and
+    /// returns each build's wall time by stage. A build that observes `cancel` caches nothing and bumps no
+    /// counter (no torn artifacts); the next request starts it afresh.
+    fn ensure(
+        &mut self,
+        stages: impl IntoIterator<Item = Stage>,
+        cancel: &CancelToken,
+    ) -> GrainResult<[Duration; Stage::COUNT]> {
+        let mut spent = [Duration::ZERO; Stage::COUNT];
+        for stage in stages {
+            let key = stage.key(&self.config);
+            if self.artifacts.key(stage) == Some(key) {
+                continue;
             }
-            None => Err(cancel.cancel_error()),
-        }
-    }
-
-    fn ensure_embedding(&mut self) {
-        let key = self.config.kernel.cache_key();
-        if self.embedding.as_ref().map(|(k, _)| k) != Some(&key) {
-            let embedding = {
-                let smoothed = self
-                    .propagation
-                    .get_cached(self.config.kernel)
-                    .expect("propagation ensured");
-                distance::normalized_embedding(&smoothed, self.config.parallelism)
-            };
-            self.embedding = Some((key, Arc::new(embedding)));
-            self.stats.embedding_builds += 1;
-        }
-    }
-
-    /// Builds the influence rows unless cached, polling `cancel` every 64
-    /// rows inside the parallel build. A cancelled build discards its
-    /// partial rows wholesale and caches nothing.
-    fn ensure_rows(&mut self, cancel: &CancelToken) -> GrainResult<()> {
-        let key = self.rows_key();
-        if self.rows.as_ref().map(|(k, _)| k) == Some(&key) {
-            return Ok(());
-        }
-        fault::point("engine.build.rows", Some(cancel));
-        cancel.checkpoint()?;
-        let transition = &self.transition.as_ref().expect("transition ensured").1;
-        match InfluenceRows::compute_weighted(
-            transition,
-            &kernel_power_weights(self.config.kernel),
-            self.config.influence_eps,
-            self.config.influence_row_top_k,
-            self.config.parallelism,
-            &|| cancel.is_cancelled(),
-        ) {
-            Some(rows) => {
-                self.rows = Some((key, Arc::new(rows)));
-                self.stats.influence_builds += 1;
-                Ok(())
+            let start = Instant::now();
+            if let Some(site) = stage.site() {
+                fault::point(site, Some(cancel));
+                cancel.checkpoint()?;
             }
-            None => Err(cancel.cancel_error()),
+            self.build(stage, key, cancel)?;
+            spent[stage as usize] = start.elapsed();
+            *stage.counter(&mut self.stats) += 1;
         }
+        Ok(spent)
     }
 
-    /// Builds the activation index unless cached. The inversion itself is
-    /// not interruptible (it is the cheapest artifact); `cancel` is checked
-    /// once at the stage boundary before committing to the build.
-    fn ensure_index(&mut self, cancel: &CancelToken) -> GrainResult<()> {
-        let key = self.index_key();
-        if self.index.as_ref().map(|(k, _)| k) == Some(&key) {
-            return Ok(());
+    /// Builds `stage`'s artifact under `key` from the (ensured) stages it
+    /// depends on. Propagation polls `cancel` between SpMM power steps and
+    /// the influence rows every 64 rows; the other builds run to the end.
+    fn build(&mut self, stage: Stage, key: StageKey, cancel: &CancelToken) -> GrainResult<()> {
+        let (config, a) = (&self.config, &mut self.artifacts);
+        let threads = config.parallelism;
+        let stop = || cancel.is_cancelled();
+        match stage {
+            Stage::Transition => {
+                let t = transition_matrix(&self.graph, config.kernel.transition_kind(), true);
+                a.transition = Some((key, Arc::new(t)));
+            }
+            Stage::Propagation => {
+                let t = a.transition.ensured();
+                let mut ladder = Vec::with_capacity(config.kernel.steps().saturating_sub(1));
+                let value = propagate_with(
+                    t,
+                    config.kernel,
+                    &self.features,
+                    threads,
+                    &stop,
+                    Some(&mut ladder),
+                )
+                .ok_or_else(|| cancel.cancel_error())?;
+                let value = Arc::new(value);
+                a.propagation = Some((key, Arc::new(Propagated { value, ladder })));
+            }
+            Stage::Embedding => {
+                let x = &a.propagation.ensured().value;
+                let e = distance::normalized_embedding(x, threads);
+                a.embedding = Some((key, Arc::new(e)));
+            }
+            Stage::Rows => {
+                let rows = InfluenceRows::compute_weighted(
+                    a.transition.ensured(),
+                    &kernel_power_weights(config.kernel),
+                    config.influence_eps,
+                    config.influence_row_top_k,
+                    threads,
+                    &stop,
+                )
+                .ok_or_else(|| cancel.cancel_error())?;
+                a.rows = Some((key, Arc::new(rows)));
+            }
+            Stage::Index => {
+                let index = ActivationIndex::build(a.rows.ensured(), config.theta, threads);
+                a.index = Some((key, Arc::new(index)));
+            }
+            Stage::Balls => {
+                let balls =
+                    distance::radius_neighbors(a.embedding.ensured(), config.radius, threads);
+                let bound = BallDiversity::union_size(&balls, self.graph.num_nodes());
+                a.balls = Some((key, (Arc::new(balls), bound)));
+            }
+            Stage::NnDmax => {
+                let embedding = a.embedding.ensured();
+                let dmax = distance::max_pairwise_distance(embedding, NN_DMAX_EXACT_LIMIT, threads);
+                a.nn_dmax = Some((key, dmax));
+            }
         }
-        fault::point("engine.build.index", Some(cancel));
-        cancel.checkpoint()?;
-        let rows = &self.rows.as_ref().expect("rows ensured").1;
-        let index = ActivationIndex::build(rows, self.config.theta, self.config.parallelism);
-        self.index = Some((key, Arc::new(index)));
-        self.stats.index_builds += 1;
         Ok(())
-    }
-
-    fn ensure_balls(&mut self, cancel: &CancelToken) -> GrainResult<()> {
-        let key = (self.config.kernel.cache_key(), self.config.radius.to_bits());
-        if self.balls.as_ref().map(|(k, _)| k) != Some(&key) {
-            fault::point("engine.build.balls", Some(cancel));
-            cancel.checkpoint()?;
-            let embedding = &self.embedding.as_ref().expect("embedding ensured").1;
-            let balls =
-                distance::radius_neighbors(embedding, self.config.radius, self.config.parallelism);
-            let bound = BallDiversity::union_size(&balls, self.graph.num_nodes());
-            self.balls = Some((key, (Arc::new(balls), bound)));
-            self.stats.diversity_builds += 1;
-        }
-        Ok(())
-    }
-
-    fn ensure_nn_dmax(&mut self, cancel: &CancelToken) -> GrainResult<()> {
-        let key = self.config.kernel.cache_key();
-        if self.nn_dmax.as_ref().map(|(k, _)| k) != Some(&key) {
-            cancel.checkpoint()?;
-            let embedding = &self.embedding.as_ref().expect("embedding ensured").1;
-            let dmax = distance::max_pairwise_distance(
-                embedding,
-                NN_DMAX_EXACT_LIMIT,
-                self.config.parallelism,
-            );
-            self.nn_dmax = Some((key, dmax));
-            self.stats.diversity_builds += 1;
-        }
-        Ok(())
-    }
-
-    /// Builds the diversity precompute `variant` needs, unless cached.
-    fn ensure_diversity(&mut self, variant: GrainVariant, cancel: &CancelToken) -> GrainResult<()> {
-        match diversity_kind(variant, self.config.diversity) {
-            None => Ok(()),
-            Some(DiversityKind::Ball) => self.ensure_balls(cancel),
-            Some(DiversityKind::Nn) => self.ensure_nn_dmax(cancel),
-        }
     }
 
     /// A fresh DIM objective for `variant` over the cached index and
@@ -1221,7 +1367,7 @@ impl SelectionEngine {
             match diversity_kind(variant, self.config.diversity) {
                 None => Box::new(NullDiversity),
                 Some(DiversityKind::Ball) => {
-                    let (balls, bound) = self.balls.as_ref().expect("balls ensured").1.clone();
+                    let (balls, bound) = self.artifacts.balls.ensured().clone();
                     Box::new(BallDiversity::from_shared_with_bound(
                         balls,
                         self.graph.num_nodes(),
@@ -1229,9 +1375,8 @@ impl SelectionEngine {
                     ))
                 }
                 Some(DiversityKind::Nn) => {
-                    let dmax = self.nn_dmax.as_ref().expect("dmax ensured").1;
-                    let embedding =
-                        Arc::clone(&self.embedding.as_ref().expect("embedding ensured").1);
+                    let dmax = *self.artifacts.nn_dmax.ensured();
+                    let embedding = Arc::clone(self.artifacts.embedding.ensured());
                     Box::new(NnDiversity::from_parts(
                         embedding,
                         dmax,
@@ -1240,7 +1385,7 @@ impl SelectionEngine {
                 }
             };
         let (scope, magnitude_weight, gamma) = variant_parameters(variant, self.config.gamma);
-        let index = &self.index.as_ref().expect("index ensured").1;
+        let index = self.artifacts.index.ensured();
         DimObjective::with_variant(index, diversity, gamma, magnitude_weight, scope)
     }
 }
@@ -1269,6 +1414,9 @@ fn variant_parameters(variant: GrainVariant, gamma: f64) -> (DiversityScope, f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ScratchDir;
+    use crate::streaming::DirtySets;
+    use grain_graph::edit::apply_edge_edits;
     use grain_graph::generators::{self, SbmConfig};
     use grain_prop::Kernel;
     use rand::rngs::StdRng;
@@ -1625,21 +1773,186 @@ mod tests {
     }
 
     #[test]
-    fn kernel_round_trip_reuses_propagation_cache() {
+    fn kernel_round_trip_holds_one_propagation() {
         let (g, x) = dataset(7);
         let candidates: Vec<u32> = (0..g.num_nodes() as u32).collect();
         let mut engine = SelectionEngine::new(GrainConfig::ball_d(), &g, &x).unwrap();
         let base = *engine.config();
         engine.select(&candidates, 5);
+        let one_kernel = engine.artifact_bytes().propagation;
         let mut deep = base;
         deep.kernel = Kernel::RandomWalk { k: 3 };
         engine.set_config(deep).unwrap();
         engine.select(&candidates, 5);
         engine.set_config(base).unwrap();
         engine.select(&candidates, 5);
-        // The k=2 embedding was evicted (single-slot) but the propagation
-        // cache is a map: returning to k=2 propagates nothing new.
-        assert_eq!(engine.stats().propagation_builds, 2);
+        // One slot per stage: the k = 3 build replaced the k = 2 one, so
+        // the way back propagates again, and the ledger counts exactly the
+        // held X^(k) and its k - 1 ladder levels.
+        assert_eq!(engine.stats().propagation_builds, 3);
         assert_eq!(engine.stats().influence_builds, 3);
+        let (n, d) = x.shape();
+        let matrix = n * d * std::mem::size_of::<f32>();
+        assert_eq!(engine.artifact_bytes().propagation, one_kernel);
+        assert_eq!(one_kernel, base.kernel.steps() * matrix);
+    }
+
+    #[test]
+    fn cancelled_propagation_caches_nothing_and_next_build_succeeds() {
+        let (g, x) = dataset(21);
+        let mut engine = SelectionEngine::new(GrainConfig::ball_d(), &g, &x).unwrap();
+        let kernel = engine.config().kernel;
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        engine.ensure([Stage::Transition], &tripped).unwrap();
+        // Past the stage-boundary checkpoint, the build's own probe
+        // between SpMM power steps sees the trip.
+        let key = Stage::Propagation.key(engine.config());
+        let err = engine.build(Stage::Propagation, key, &tripped).unwrap_err();
+        assert!(matches!(err, GrainError::Cancelled), "{err}");
+        assert!(engine.ensure([Stage::Propagation], &tripped).is_err());
+        assert!(engine.propagated_if_cached(kernel).is_none());
+        assert_eq!(engine.artifact_bytes().propagation, 0);
+        assert_eq!(engine.stats().propagation_builds, 0);
+        // The next build is whole; a held artifact ignores the probe.
+        let value = engine.propagated();
+        assert_eq!(*value, grain_prop::propagate(&g, kernel, &x));
+        assert_eq!(engine.stats().propagation_builds, 1);
+        assert!(engine
+            .ensure([Stage::Transition, Stage::Propagation], &tripped)
+            .is_ok());
+    }
+
+    #[test]
+    fn propagated_twice_shares_one_allocation() {
+        let (g, x) = dataset(22);
+        let mut engine = SelectionEngine::new(GrainConfig::ball_d(), &g, &x).unwrap();
+        let kernel = engine.config().kernel;
+        let a = engine.propagated();
+        let b = engine.propagated();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "propagated() must hand out the held X^(k)"
+        );
+        assert!(Arc::ptr_eq(
+            &a,
+            &engine.propagated_if_cached(kernel).unwrap()
+        ));
+        assert_eq!(*a, grain_prop::propagate(&g, kernel, &x));
+        assert_eq!(engine.stats().propagation_builds, 1);
+    }
+
+    /// A config whose kernel has a two-level ladder.
+    fn deep_config() -> GrainConfig {
+        GrainConfig {
+            kernel: Kernel::RandomWalk { k: 3 },
+            ..GrainConfig::ball_d()
+        }
+    }
+
+    /// `graph` without its first edge, and that delta's dirty sets under
+    /// `config`'s kernel.
+    fn one_edge_delta(graph: &Graph, config: &GrainConfig) -> (Arc<Graph>, DirtySets) {
+        let u = (0..graph.num_nodes())
+            .find(|&v| !graph.neighbors(v).is_empty())
+            .unwrap();
+        let edge = (u as u32, graph.neighbors(u)[0]);
+        let (edited, endpoints) = apply_edge_edits(graph, &[], &[edge]).unwrap();
+        let kind = config.kernel.transition_kind();
+        let dirty = DirtySets::compute(&edited, kind, config.kernel.steps(), &endpoints, &[]);
+        (Arc::new(edited), dirty)
+    }
+
+    /// `engine` patched onto `graph` (same features) under `dirty`.
+    fn patch(engine: &SelectionEngine, graph: &Arc<Graph>, dirty: &DirtySets) -> SelectionEngine {
+        let features = engine.features_arc();
+        let (dt, dp, di) = (&dirty.transition, &dirty.propagation, &dirty.influence);
+        engine.patched(Arc::clone(graph), features, dt, dp, di).0
+    }
+
+    #[test]
+    fn laddered_patch_holds_the_patched_ladder() {
+        let (g, x) = dataset(23);
+        let cfg = deep_config();
+        let (edited, dirty) = one_edge_delta(&g, &cfg);
+        let mut engine = SelectionEngine::new(cfg, &g, &x).unwrap();
+        engine.propagated();
+        let mut next = patch(&engine, &edited, &dirty);
+        assert_eq!(next.stats().propagation_builds, 2);
+        let mut cold = SelectionEngine::over(cfg, Arc::clone(&edited), x.clone()).unwrap();
+        cold.propagated();
+        let patched = next.artifacts.propagation.ensured();
+        let built = cold.artifacts.propagation.ensured();
+        assert_eq!(patched.ladder.len(), 2);
+        assert_eq!(patched.value, built.value);
+        assert_eq!(
+            patched.ladder, built.ladder,
+            "patched ladder != cold ladder"
+        );
+        // The patch is held: asking for X^(k) builds nothing and shares it.
+        let held = Arc::clone(&patched.value);
+        assert!(Arc::ptr_eq(&held, &next.propagated()));
+        assert_eq!(next.stats().propagation_builds, 2);
+        // So the next delta (the edge back) repairs level-locally too.
+        let (restored, undo) = one_edge_delta(&edited, &cfg);
+        let again = patch(&next, &restored, &undo);
+        assert_eq!(again.artifacts.propagation.ensured().ladder.len(), 2);
+        let mut cold = SelectionEngine::over(cfg, restored, x.clone()).unwrap();
+        assert_eq!(
+            *again.propagated_if_cached(cfg.kernel).unwrap(),
+            *cold.propagated()
+        );
+    }
+
+    #[test]
+    fn ladder_free_propagation_patches_through_the_cone() {
+        let (g, x) = dataset(24);
+        let cfg = deep_config();
+        let (n, d) = x.shape();
+        let matrix = n * d * std::mem::size_of::<f32>();
+        let (edited, dirty) = one_edge_delta(&g, &cfg);
+        let mut cold = SelectionEngine::over(cfg, Arc::clone(&edited), x.clone()).unwrap();
+        let want = cold.propagated();
+        let mut donor = SelectionEngine::new(cfg, &g, &x).unwrap();
+        let value = donor.propagated();
+        let level = donor.artifacts.propagation.ensured().ladder[0].clone();
+
+        // Seeded: no ladder at all.
+        let mut seeded = SelectionEngine::new(cfg, &g, &x).unwrap();
+        seeded.seed_propagated(Arc::clone(&value));
+        // Store-loaded with one of the kernel's two levels.
+        let dir = ScratchDir::new("ladder-free");
+        let store = ArtifactStore::open(dir.path()).unwrap();
+        let mut loaded = SelectionEngine::new(cfg, &g, &x).unwrap();
+        store
+            .save_propagation(&loaded.address(7, 0), &value, &[&level])
+            .unwrap();
+        loaded.adopt(None, Some(&store), 7, 0);
+        // Adopted with levels of the wrong shape.
+        let mut misshaped = SelectionEngine::new(cfg, &g, &x).unwrap();
+        let wide = Propagated {
+            value: Arc::clone(&value),
+            ladder: vec![DenseMatrix::zeros(n, d + 1); 2],
+        };
+        let key = Stage::Propagation.key(&cfg);
+        let payload = Payload::Propagation(Arc::new(wide));
+        misshaped.artifacts.adopt(key, payload, n, d, cfg.kernel);
+
+        for (name, engine) in [
+            ("seeded", seeded),
+            ("loaded", loaded),
+            ("misshaped", misshaped),
+        ] {
+            assert_eq!(engine.stats().propagation_builds, 0, "{name}");
+            assert_eq!(
+                engine.artifact_bytes().propagation,
+                matrix,
+                "{name} kept a ladder"
+            );
+            let next = patch(&engine, &edited, &dirty);
+            let patched = next.propagated_if_cached(cfg.kernel).unwrap();
+            assert_eq!(*patched, *want, "{name}: cone patch != cold build");
+            assert_eq!(next.artifact_bytes().propagation, matrix, "{name}");
+        }
     }
 }

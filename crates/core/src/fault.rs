@@ -19,6 +19,7 @@
 //! | `engine.build.rows` | before the influence-row build |
 //! | `engine.build.index` | before the activation-index build |
 //! | `engine.build.balls` | before the ball-membership build |
+//! | `engine.build.nn_dmax` | before the NN `d_max` build |
 //! | `service.request` | at the top of every `GrainService` selection |
 //! | `scheduler.dispatch` | in the worker, before a group is dispatched |
 //! | `edge.accept` | as an accepted connection starts being served |

@@ -58,6 +58,7 @@
 //! A write that fails is counted in [`StoreStats::save_failures`].
 
 use crate::codec::{self, Dec, DecResult, Enc, Fnv64};
+use crate::engine::Propagated;
 use crate::error::{GrainError, GrainResult};
 use grain_graph::Graph;
 use grain_influence::{ActivationIndex, InfluenceRows};
@@ -79,7 +80,7 @@ pub const CODEC_VERSION: u32 = 2;
 /// Which artifact a store file carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArtifactKind {
-    /// `X^(k)` plus its power ladder ([`grain_prop::cache::PropagationCache`]).
+    /// `X^(k)` plus its power ladder (see [`grain_prop::propagate_with`]).
     Propagation,
     /// Influence-row flat CSR ([`InfluenceRows`]).
     InfluenceRows,
@@ -158,10 +159,11 @@ pub struct PendingArtifact {
     pub(crate) payload: Payload,
 }
 
-/// What a [`PendingArtifact`] writes.
+/// A persisted stage's artifact: what a [`PendingArtifact`] writes and
+/// what [`ArtifactStore::load_payload`] reads.
 pub(crate) enum Payload {
     /// `X^(k)` plus its power ladder.
-    Propagation(Arc<DenseMatrix>, Vec<Arc<DenseMatrix>>),
+    Propagation(Arc<Propagated>),
     Rows(Arc<InfluenceRows>),
     Index(Arc<ActivationIndex>),
 }
@@ -228,9 +230,9 @@ impl ArtifactStore {
     pub fn commit(&self, pending: PendingArtifact) -> GrainResult<usize> {
         let addr = &pending.addr;
         match &pending.payload {
-            Payload::Propagation(value, ladder) => {
-                let levels: Vec<&DenseMatrix> = ladder.iter().map(Arc::as_ref).collect();
-                self.save_propagation(addr, value, &levels)
+            Payload::Propagation(p) => {
+                let levels: Vec<&DenseMatrix> = p.ladder.iter().collect();
+                self.save_propagation(addr, &p.value, &levels)
             }
             Payload::Rows(rows) => self.save_rows(addr, rows),
             Payload::Index(index) => self.save_index(addr, index),
@@ -291,11 +293,14 @@ impl ArtifactStore {
 
     /// The one writer. `header` (the address, then the kind's dims) is
     /// complete before any byte is hashed, so the file's exact length is
-    /// known up front; each `bulk` slice is then hashed and written to
-    /// `<name>.tmp` straight from the artifact, the checksum appended,
-    /// and the file renamed into place. Racing commits of the same
-    /// address are safe: content addressing + bit-identical builds mean
-    /// both writers carry the same bytes. A failed write counts in
+    /// known up front; each `bulk` slice is then hashed and written to a
+    /// temp file of this write's own, `<name>.<pid>-<seq>.tmp`, straight
+    /// from the artifact, the checksum appended, and the file renamed
+    /// into place. Racing commits of the same address — from threads or
+    /// from processes sharing the directory — are safe: no two writes
+    /// share a temp file, each rename swaps in a whole file, and content
+    /// addressing + bit-identical builds mean every writer carries the
+    /// same bytes. A failed write removes its temp file and counts in
     /// [`StoreStats::save_failures`].
     fn write(
         &self,
@@ -307,7 +312,8 @@ impl ArtifactStore {
         let header = header.into_bytes();
         let body = header.len() + bulk.iter().map(|b| b.len()).sum::<usize>();
         let path = self.path_for(addr, kind);
-        let tmp = path.with_extension("tmp");
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(format!(".{}.tmp", unique_id()));
         let written = (|| {
             let mut file = fs::File::create(&tmp)?;
             let mut sum = codec::Checksum::new(body);
@@ -320,6 +326,7 @@ impl ArtifactStore {
             fs::rename(&tmp, &path)
         })();
         if let Err(e) = written {
+            let _ = fs::remove_file(&tmp);
             self.counters.save_failures.fetch_add(1, Ordering::Relaxed);
             return Err(GrainError::store(format!("cannot write {path:?}: {e}")));
         }
@@ -380,6 +387,28 @@ impl ArtifactStore {
             let items = dec.vec(entries)?;
             validate_csr(&offsets, &items, entries, n, "activation index")?;
             Ok(ActivationIndex::from_parts(offsets, items, theta, k))
+        })
+    }
+
+    /// Loads and validates the `kind` artifact at `addr` as a payload
+    /// (see [`ArtifactStore::load_propagation`] for the `None`/`Err`
+    /// contract).
+    pub(crate) fn load_payload(
+        &self,
+        addr: &ContentAddress,
+        kind: ArtifactKind,
+    ) -> GrainResult<Option<Payload>> {
+        Ok(match kind {
+            ArtifactKind::Propagation => self.load_propagation(addr)?.map(|(value, ladder)| {
+                let value = Arc::new(value);
+                Payload::Propagation(Arc::new(Propagated { value, ladder }))
+            }),
+            ArtifactKind::InfluenceRows => {
+                self.load_rows(addr)?.map(|r| Payload::Rows(Arc::new(r)))
+            }
+            ArtifactKind::ActivationIndex => {
+                self.load_index(addr)?.map(|i| Payload::Index(Arc::new(i)))
+            }
         })
     }
 
@@ -553,6 +582,14 @@ pub(crate) fn mix_fingerprint(old: u64, delta_hash: u64) -> u64 {
     h.finish()
 }
 
+/// `{pid}-{seq}`: unique across processes (the pid) and within this one
+/// (a process-wide sequence number).
+fn unique_id() -> String {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    format!("{}-{seq}", std::process::id())
+}
+
 // ---- scratch dirs for tests/benches -------------------------------------
 
 /// A uniquely named temp directory removed on drop — the `tempdir`-style
@@ -567,11 +604,8 @@ impl ScratchDir {
     /// sequence number plus the create-or-retry loop makes concurrent
     /// test threads collision-free.
     pub fn new(prefix: &str) -> Self {
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        let pid = std::process::id();
         loop {
-            let n = SEQ.fetch_add(1, Ordering::Relaxed);
-            let path = std::env::temp_dir().join(format!("grain-{prefix}-{pid}-{n}"));
+            let path = std::env::temp_dir().join(format!("grain-{prefix}-{}", unique_id()));
             match fs::create_dir(&path) {
                 Ok(()) => return Self { path },
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
@@ -618,6 +652,51 @@ mod tests {
         let g = generators::erdos_renyi_gnm(40, 100, 7);
         let t = transition_matrix(&g, TransitionKind::RandomWalk, true);
         InfluenceRows::compute(&t, 2, 1e-4)
+    }
+
+    #[test]
+    fn concurrent_commits_of_one_address_never_tear() {
+        let scratch = ScratchDir::new("store-race");
+        let stores = [
+            ArtifactStore::open(scratch.path()).unwrap(),
+            ArtifactStore::open(scratch.path()).unwrap(),
+        ];
+        let (n, d) = (2000, 16);
+        let value = DenseMatrix::from_vec(n, d, (0..n * d).map(|i| i as f32 * 0.5).collect());
+        let level = DenseMatrix::from_vec(n, d, (0..n * d).map(|i| (i % 97) as f32).collect());
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        std::thread::scope(|scope| {
+            for store in &stores {
+                for _ in 0..3 {
+                    scope.spawn(|| {
+                        for _ in 0..20 {
+                            store.save_propagation(&addr(0), &value, &[&level]).unwrap();
+                            let (back, ladder) = store
+                                .load_propagation(&addr(0))
+                                .expect("a whole file")
+                                .expect("present");
+                            assert_eq!(bits(&back), bits(&value));
+                            assert_eq!(bits(&ladder[0]), bits(&level));
+                        }
+                    });
+                }
+            }
+        });
+        for store in &stores {
+            let stats = store.stats();
+            assert_eq!(
+                (stats.corruptions, stats.save_failures),
+                (0, 0),
+                "{stats:?}"
+            );
+            assert_eq!((stats.saves, stats.loads), (60, 60));
+        }
+        let names: Vec<String> = fs::read_dir(scratch.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.len(), 1, "temp files left behind: {names:?}");
+        assert!(names[0].ends_with(".prop.grain"), "{names:?}");
     }
 
     #[test]

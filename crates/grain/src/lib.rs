@@ -83,7 +83,7 @@
 //! |---|---|
 //! | [`core`] | DIM objective, diversity, greedy + CELF, engine, service (§3) |
 //! | [`influence`] | feature-influence rows, activation index (§3.1–3.2) |
-//! | [`prop`] | the six Table 1 propagation kernels + propagation cache |
+//! | [`prop`] | the six Table 1 propagation kernels + laddered delta repair |
 //! | [`graph`] | CSR graphs, generators, transition matrices |
 //! | [`gnn`] | GCN / SGC / APPNP / MVGRL-sim with manual backprop |
 //! | [`select`] | AGE, ANRMAB, KCG, Random, Degree, core-set baselines |

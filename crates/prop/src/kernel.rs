@@ -111,9 +111,26 @@ impl Kernel {
     }
 }
 
+impl Kernel {
+    /// What [`Kernel::cache_key`] encodes, without allocating: the
+    /// variant, the depth and the `f32` parameter's bits (0 if none).
+    fn identity(&self) -> (u8, usize, u32) {
+        match *self {
+            Kernel::SymNorm { k } => (0, k, 0),
+            Kernel::RandomWalk { k } => (1, k, 0),
+            Kernel::Ppr { k, alpha } => (2, k, alpha.to_bits()),
+            Kernel::TriangleIa { k } => (3, k, 0),
+            Kernel::S2gc { k, alpha } => (4, k, alpha.to_bits()),
+            Kernel::Gbp { k, beta } => (5, k, beta.to_bits()),
+        }
+    }
+}
+
+/// Equal exactly when the [`Kernel::cache_key`]s are: parameters compare
+/// by bit pattern, so `0.0 != -0.0` and a NaN equals itself.
 impl PartialEq for Kernel {
     fn eq(&self, other: &Self) -> bool {
-        self.cache_key() == other.cache_key()
+        self.identity() == other.identity()
     }
 }
 
@@ -121,7 +138,7 @@ impl Eq for Kernel {}
 
 impl std::hash::Hash for Kernel {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.cache_key().hash(state);
+        self.identity().hash(state);
     }
 }
 
@@ -158,6 +175,43 @@ mod tests {
         assert_ne!(a.cache_key(), b.cache_key());
         assert_ne!(a, b);
         assert_eq!(a, Kernel::Ppr { k: 2, alpha: 0.1 });
+    }
+
+    #[test]
+    fn equality_and_hash_agree_with_cache_keys() {
+        use std::hash::{BuildHasher, RandomState};
+        let nan_a = f32::from_bits(0x7fc0_0001);
+        let nan_b = f32::from_bits(0x7fc0_0002);
+        let mut kernels = Vec::new();
+        for k in 1..=3 {
+            kernels.extend(Kernel::all_table1(k));
+            for p in [0.0, -0.0, nan_a, nan_b] {
+                kernels.push(Kernel::Ppr { k, alpha: p });
+                kernels.push(Kernel::S2gc { k, alpha: p });
+                kernels.push(Kernel::Gbp { k, beta: p });
+            }
+        }
+        let hasher = RandomState::new();
+        for a in &kernels {
+            for b in &kernels {
+                assert_eq!(a == b, a.cache_key() == b.cache_key(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hasher.hash_one(a), hasher.hash_one(b), "{a:?}");
+                }
+            }
+        }
+        assert_ne!(
+            Kernel::Ppr { k: 2, alpha: 0.0 },
+            Kernel::Ppr { k: 2, alpha: -0.0 }
+        );
+        assert_ne!(
+            Kernel::Gbp { k: 2, beta: nan_a },
+            Kernel::Gbp { k: 2, beta: nan_b }
+        );
+        assert_eq!(
+            Kernel::Gbp { k: 2, beta: nan_a },
+            Kernel::Gbp { k: 2, beta: nan_a }
+        );
     }
 
     #[test]

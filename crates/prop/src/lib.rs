@@ -32,7 +32,6 @@
 //! assert!(xk.as_slice().iter().all(|v| (v - 1.0).abs() < 1e-5));
 //! ```
 
-pub mod cache;
 pub mod kernel;
 pub mod propagate;
 
