@@ -1824,6 +1824,27 @@ mod tests {
     }
 
     #[test]
+    fn propagated_matches_direct_propagation() {
+        for kernel in [
+            Kernel::RandomWalk { k: 2 },
+            Kernel::RandomWalk { k: 3 },
+            Kernel::Ppr { k: 2, alpha: 0.1 },
+        ] {
+            let (g, x) = dataset(22);
+            let cfg = GrainConfig {
+                kernel,
+                ..GrainConfig::ball_d()
+            };
+            let mut engine = SelectionEngine::new(cfg, &g, &x).unwrap();
+            assert_eq!(
+                *engine.propagated(),
+                grain_prop::propagate(&g, kernel, &x),
+                "{kernel:?}"
+            );
+        }
+    }
+
+    #[test]
     fn propagated_twice_shares_one_allocation() {
         let (g, x) = dataset(22);
         let mut engine = SelectionEngine::new(GrainConfig::ball_d(), &g, &x).unwrap();
@@ -1838,7 +1859,6 @@ mod tests {
             &a,
             &engine.propagated_if_cached(kernel).unwrap()
         ));
-        assert_eq!(*a, grain_prop::propagate(&g, kernel, &x));
         assert_eq!(engine.stats().propagation_builds, 1);
     }
 
