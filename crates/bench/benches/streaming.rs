@@ -21,7 +21,17 @@
 //!   1 and 16 edges where every fourth edge joins the highest-degree node,
 //!   each apply followed by the select that answers on the new epoch. Per
 //!   case: the apply, its `PatchTimings` stages, the flip plus store
-//!   commit (the apply's time outside splice and patch), and the select.
+//!   commit (the apply's time outside splice and patch), and the select;
+//! * **live-reader** — writes beside reads: `R` reader threads select in
+//!   a loop (the `live` config, trace cache off) while the writer applies
+//!   the `live` toggles, each update after `R` more reader answers. Per
+//!   case: reader p50/p99, reader cold rebuilds (`PoolEvent::ColdMiss`,
+//!   and apart from them the rebuilds of a key an epoch flip reclaimed),
+//!   and patched and skipped engines per update, where skipped counts the
+//!   resident old-epoch engines the update neither patched nor left for
+//!   being triangle-induced. After the timed phase, every reader answer
+//!   whose epoch is known is checked against a cold build of that epoch's
+//!   graph; a wrong answer panics.
 //!
 //! CI smoke: `GRAIN_DELTA_MAX_N` caps the ladder (e.g. `20000`) so the
 //! bench exercises every code path in seconds; the committed JSON comes
@@ -30,11 +40,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grain_core::{
     Budget, GrainConfig, GrainService, GrainVariant, GraphDelta, GreedyAlgorithm, PatchTimings,
-    ScratchDir, SelectionRequest,
+    PoolEvent, ScratchDir, SelectionEngine, SelectionRequest,
 };
-use grain_graph::{generators, Graph};
+use grain_graph::{apply_edge_edits, generators, Graph};
 use grain_linalg::DenseMatrix;
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const BUDGET: usize = 64;
@@ -49,6 +61,10 @@ const SAMPLES: usize = 10;
 const WARMUP: usize = 4;
 /// Applies sampled per live case; even, like [`SAMPLES`].
 const LIVE_SAMPLES: usize = 20;
+/// Edge counts of the `live` toggle sets.
+const LIVE_SIZES: [usize; 2] = [1, 16];
+/// Reader threads per `live-reader` case.
+const READERS: [usize; 2] = [1, 2];
 
 struct Case {
     name: String,
@@ -369,7 +385,7 @@ fn run_live(n: usize, cases: &mut Vec<Case>) {
         .expect("corpus registers");
     let request = SelectionRequest::new(&graph_id, delta_config(), Budget::Fixed(BUDGET));
     service.select(&request).expect("cold select persists");
-    for size in [1usize, 16] {
+    for size in LIVE_SIZES {
         let pairs = toggle_pairs(&graph, size, Some(hub));
         let toggle = |s: usize| {
             if s % 2 == 0 {
@@ -421,6 +437,156 @@ fn run_live(n: usize, cases: &mut Vec<Case>) {
     }
 }
 
+/// One reader answer: the epoch it ran on, its picks and its trace.
+type Answer = (u64, Vec<u32>, Vec<f64>);
+
+/// The `live-reader` case with `readers` reader threads at corpus size `n`
+/// (see the module docs).
+fn run_live_reader(n: usize, readers: usize, cases: &mut Vec<Case>) {
+    let graph_id = format!("live-reader-{n}");
+    let graph = generators::barabasi_albert(n, 4, 42);
+    let x = features(n);
+    let hub = (0..n).max_by_key(|&v| graph.degree(v)).unwrap_or(0) as u32;
+    let sets: Vec<Vec<(u32, u32)>> = LIVE_SIZES
+        .iter()
+        .map(|&size| toggle_pairs(&graph, size, Some(hub)))
+        .collect();
+    let store = ScratchDir::new("bench-delta-reader");
+    let service = GrainService::with_capacity(2)
+        .with_trace_cache(false)
+        .with_artifact_store(store.path())
+        .expect("store opens");
+    service
+        .register_graph(&graph_id, graph.clone(), x.clone())
+        .expect("corpus registers");
+    let request = SelectionRequest::new(&graph_id, delta_config(), Budget::Fixed(BUDGET));
+    service.select(&request).expect("cold select persists");
+
+    let stop = AtomicBool::new(false);
+    let answered = AtomicUsize::new(0);
+    let latencies: Mutex<Vec<Duration>> = Mutex::new(Vec::new());
+    let events: Mutex<Vec<PoolEvent>> = Mutex::new(Vec::new());
+    let answers: Mutex<Vec<Answer>> = Mutex::new(Vec::new());
+    let (mut applies, mut patched, mut skipped) = (vec![], 0, 0);
+    std::thread::scope(|s| {
+        for _ in 0..readers {
+            s.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    let before = service.epoch(&graph_id).expect("registered");
+                    let t = Instant::now();
+                    let report = service.select(&request).expect("reader select");
+                    let took = t.elapsed();
+                    let after = service.epoch(&graph_id).expect("registered");
+                    latencies.lock().unwrap().push(took);
+                    events.lock().unwrap().push(report.pool_event);
+                    if before == after {
+                        // The select's corpus snapshot lies between the two
+                        // reads, so its epoch is known.
+                        let outcome = report.outcome();
+                        let answer = (
+                            before,
+                            outcome.selected.clone(),
+                            outcome.objective_trace.clone(),
+                        );
+                        answers.lock().unwrap().push(answer);
+                    }
+                    answered.fetch_add(1, Ordering::Release);
+                }
+            });
+        }
+        for pairs in &sets {
+            for s in 0..LIVE_SAMPLES {
+                let due = answered.load(Ordering::Acquire) + readers;
+                while answered.load(Ordering::Acquire) < due {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let epoch = service.epoch(&graph_id).expect("registered");
+                let resident = service
+                    .pool()
+                    .keys()
+                    .iter()
+                    .filter(|(g, e, _)| *g == graph_id && *e == epoch)
+                    .count();
+                let delta = if s % 2 == 0 {
+                    insert_all(pairs)
+                } else {
+                    delete_all(pairs)
+                };
+                let t = Instant::now();
+                let report = service
+                    .apply_update(&graph_id, &delta)
+                    .expect("delta applies");
+                applies.push(t.elapsed());
+                patched += report.engines_patched();
+                skipped += resident
+                    .saturating_sub(report.engines_patched() + report.engines_skipped_triangle);
+            }
+        }
+        stop.store(true, Ordering::Release);
+    });
+
+    // Untimed: every reader answer of a known epoch against a cold build
+    // of that epoch's graph. After update `e`, set `(e - 1) / LIVE_SAMPLES`
+    // is inserted when `e - 1` is even within its set, else toggled back.
+    let all: Vec<u32> = (0..n as u32).collect();
+    let cold_answer = |g: &Graph| {
+        let mut engine = SelectionEngine::new(delta_config(), g, &x).expect("oracle engine");
+        let outcome = engine.select(&all, BUDGET);
+        (outcome.selected, outcome.objective_trace)
+    };
+    let mut oracles = vec![cold_answer(&graph)];
+    for pairs in &sets {
+        let inserts: Vec<(u32, u32, f32)> = pairs.iter().map(|&(a, b)| (a, b, 1.0)).collect();
+        let (toggled, _) = apply_edge_edits(&graph, &inserts, &[]).expect("toggle inserts");
+        oracles.push(cold_answer(&toggled));
+    }
+    let answers = answers.into_inner().unwrap();
+    for (epoch, selected, trace) in &answers {
+        let state = match epoch.checked_sub(1) {
+            Some(i) if (i as usize % LIVE_SAMPLES) % 2 == 0 => 1 + i as usize / LIVE_SAMPLES,
+            _ => 0,
+        };
+        let (want_selected, want_trace) = &oracles[state];
+        assert!(
+            selected == want_selected && trace == want_trace,
+            "n={n} readers={readers}: the answer at epoch {epoch} differs from a cold build"
+        );
+    }
+
+    let samples = latencies.into_inner().unwrap();
+    let events = events.into_inner().unwrap();
+    let count = |event: PoolEvent| events.iter().filter(|&&e| e == event).count() as f64;
+    let mut sorted: Vec<f64> = samples.iter().map(|d| d.as_nanos() as f64).collect();
+    sorted.sort_by(f64::total_cmp);
+    let p99 = sorted[(sorted.len() * 99).div_ceil(100).saturating_sub(1)];
+    let updates = applies.len() as f64;
+    cases.push(Case {
+        name: format!("live-reader/{n}/r{readers}"),
+        metrics: vec![
+            ("n", n as f64),
+            ("readers", readers as f64),
+            ("updates", updates),
+            ("reader_selects", samples.len() as f64),
+            ("reader_p50_ns", sorted[sorted.len() / 2]),
+            ("reader_p99_ns", p99),
+            ("reader_max_ns", sorted[sorted.len() - 1]),
+            ("reader_cold_rebuilds", count(PoolEvent::ColdMiss)),
+            ("reader_joined_builds", count(PoolEvent::JoinedBuild)),
+            // A reader whose corpus snapshot predates a flip but whose
+            // checkout follows the flip's reclaim rebuilds the dead key.
+            (
+                "reader_rebuilds_after_eviction",
+                count(PoolEvent::RebuildAfterEviction),
+            ),
+            ("patched_per_update", patched as f64 / updates),
+            ("skipped_per_update", skipped as f64 / updates),
+            ("apply_median_ns", median_ns(applies.into_iter())),
+            ("answers_checked", answers.len() as f64),
+        ],
+        samples,
+    });
+}
+
 fn bench_delta(c: &mut Criterion) {
     let max_n: usize = std::env::var("GRAIN_DELTA_MAX_N")
         .ok()
@@ -439,6 +605,9 @@ fn bench_delta(c: &mut Criterion) {
     for &n in &ladder {
         run_rung(c, n, &mut cases);
         run_live(n, &mut cases);
+        for readers in READERS {
+            run_live_reader(n, readers, &mut cases);
+        }
     }
     write_json(&cases);
 }

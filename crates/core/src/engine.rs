@@ -62,7 +62,7 @@ use grain_linalg::DenseMatrix;
 use grain_prop::propagate::repropagate_rows_laddered;
 use grain_prop::{propagate_with, repropagate_rows, Kernel};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Panic message for a build that polls a fresh, never-tripped token.
@@ -526,9 +526,9 @@ impl Artifacts {
         }
     }
 
-    /// Adopts a stored `payload` under `key` if it fits an `n`-node
-    /// corpus with `d` feature columns and `kernel`'s depth. A ladder that
-    /// does not fit is dropped and the value kept.
+    /// Adopts a `payload` (stored, or a sibling's `X^(k)`) under `key` if
+    /// it fits an `n`-node corpus with `d` feature columns and `kernel`'s
+    /// depth. A ladder that does not fit is dropped and the value kept.
     fn adopt(&mut self, key: StageKey, payload: Payload, n: usize, d: usize, kernel: Kernel) {
         let k = kernel.steps();
         match payload {
@@ -543,6 +543,176 @@ impl Artifacts {
             Payload::Index(i) if i.num_nodes() == n && i.k() == k => self.index = Some((key, i)),
             _ => {}
         }
+    }
+}
+
+/// What an engine last published for readers that must not wait on its
+/// lock: its config and an O(1) clone of its artifact table, published
+/// together, with its build counters, trace-cache flag and resident bytes.
+/// Republished whenever the table or the cached greedy run changes, so it
+/// never keeps alive an artifact the engine released. Lock order: the
+/// engine's lock, then the cell.
+#[derive(Clone, Default)]
+pub(crate) struct Published {
+    pub(crate) config: GrainConfig,
+    artifacts: Artifacts,
+    pub(crate) stats: EngineStats,
+    trace_cache: bool,
+    pub(crate) bytes: ArtifactBytes,
+}
+
+impl Published {
+    /// The held `X^(k)` with its ladder if it is `kernel`'s.
+    pub(crate) fn propagation(&self, kernel: Kernel) -> Option<Arc<Propagated>> {
+        self.artifacts
+            .propagation
+            .held(StageKey::Kernel(kernel))
+            .map(Arc::clone)
+    }
+
+    /// Derives an engine over the mutated corpus `(graph, features)` by
+    /// patching this snapshot's artifacts instead of rebuilding them — the
+    /// streaming fast path behind
+    /// [`crate::service::GrainService::apply_update`].
+    ///
+    /// `dirty_transition` / `dirty_propagation` / `dirty_influence` are
+    /// sorted supersets of the transition rows, `X^(k)` rows, and
+    /// influence rows whose values can differ between the old and mutated
+    /// corpus (see [`crate::streaming`] for the dirty-set math). Per
+    /// artifact:
+    ///
+    /// * **transition** — dirty rows recomputed row-locally via
+    ///   [`grain_graph::transition_rows`] (bit-identical float path) and
+    ///   spliced into the stale matrix with
+    ///   [`CsrMatrix::with_replaced_rows`]; rebuilt cold only when no
+    ///   transition of the right kind is held;
+    /// * **propagation** — dirty rows re-propagated level-locally via
+    ///   [`grain_prop::propagate::repropagate_rows_laddered`] against the
+    ///   donor's power ladder (`O(k · |dirty|)` SpMM rows over
+    ///   `parallelism` workers), clean rows `memcpy`d; a donor without a
+    ///   fitting ladder repairs through the reverse cone
+    ///   ([`grain_prop::repropagate_rows`]);
+    /// * **embedding** — clean rows `memcpy`d from the old embedding
+    ///   (their `X^(k)` rows are bit-identical, so their normalizations
+    ///   are too), dirty rows re-normalized with the same per-row op as
+    ///   the full pass ([`grain_linalg::ops::l2_normalize_row`]);
+    /// * **influence rows** — dirty rows re-walked via
+    ///   [`InfluenceRows::with_rebuilt_rows`], clean row slices spliced;
+    /// * **activation index** — inverted entries of dirty rows swapped via
+    ///   [`ActivationIndex::repaired`];
+    /// * **ball lists / NN `d_max`** — dropped (rebuilt lazily on the next
+    ///   select that needs them).
+    ///
+    /// Only artifacts held under the published config are migrated; slots
+    /// holding an earlier config's artifact are dropped, and a snapshot
+    /// taken mid-build migrates the stages it holds. Callers must not
+    /// invoke this for triangle-induced kernels (a single edge edit can
+    /// dirty every triangle count, so those engines rebuild cold).
+    pub(crate) fn patched(
+        &self,
+        graph: Arc<Graph>,
+        features: Arc<DenseMatrix>,
+        dirty_transition: &[u32],
+        dirty_propagation: &[u32],
+        dirty_influence: &[u32],
+    ) -> (SelectionEngine, PatchTimings) {
+        let config = self.config;
+        let kind = config.kernel.transition_kind();
+        debug_assert_ne!(
+            kind,
+            TransitionKind::TriangleInduced,
+            "triangle-induced engines are rebuilt cold, not patched"
+        );
+        let threads = config.parallelism;
+        let (old, mut new) = (&self.artifacts, Artifacts::default());
+        let mut stats = self.stats;
+        let mut spent = [Duration::ZERO; Stage::COUNT];
+        for stage in Stage::ALL {
+            let key = stage.key(&config);
+            let start = Instant::now();
+            match stage {
+                Stage::Transition => {
+                    let t = match old.transition.held(key) {
+                        Some(t_old) => t_old.with_replaced_rows(&transition_rows(
+                            &graph,
+                            kind,
+                            true,
+                            dirty_transition,
+                        )),
+                        None => transition_matrix(&graph, kind, true),
+                    };
+                    new.transition = Some((key, Arc::new(t)));
+                }
+                Stage::Propagation => {
+                    let Some(p) = old.propagation.held(key) else {
+                        continue;
+                    };
+                    let t = new.transition.ensured();
+                    let p = p.repaired(t, config.kernel, &features, dirty_propagation, threads);
+                    new.propagation = Some((key, Arc::new(p)));
+                }
+                Stage::Embedding => {
+                    let (Some(e), Some((_, p))) = (old.embedding.held(key), &new.propagation)
+                    else {
+                        continue;
+                    };
+                    // Clean rows keep their bits; dirty rows are
+                    // re-normalized with the full pass's per-row op.
+                    let mut e = (**e).clone();
+                    for &v in dirty_propagation {
+                        let row = e.row_mut(v as usize);
+                        row.copy_from_slice(p.value.row(v as usize));
+                        grain_linalg::ops::l2_normalize_row(row);
+                    }
+                    new.embedding = Some((key, Arc::new(e)));
+                }
+                Stage::Rows => {
+                    let Some(rows) = old.rows.held(key) else {
+                        continue;
+                    };
+                    let rows = rows.with_rebuilt_rows(
+                        new.transition.ensured(),
+                        config.kernel,
+                        config.influence_eps,
+                        config.influence_row_top_k,
+                        dirty_influence,
+                        threads,
+                    );
+                    new.rows = Some((key, Arc::new(rows)));
+                }
+                Stage::Index => {
+                    let (Some(index), Some((_, rows))) = (old.index.held(key), &new.rows) else {
+                        continue;
+                    };
+                    let index = index.repaired(rows, config.theta, dirty_influence);
+                    new.index = Some((key, Arc::new(index)));
+                }
+                // Rebuilt lazily by the next select that needs them.
+                Stage::Balls | Stage::NnDmax => continue,
+            }
+            spent[stage as usize] = start.elapsed();
+            *stage.counter(&mut stats) += 1;
+        }
+        let at = |stage: Stage| spent[stage as usize];
+        let timings = PatchTimings {
+            transition: at(Stage::Transition),
+            propagation: at(Stage::Propagation),
+            embedding: at(Stage::Embedding),
+            influence: at(Stage::Rows),
+            index: at(Stage::Index),
+        };
+        let engine = SelectionEngine {
+            config,
+            graph,
+            features,
+            artifacts: new,
+            // Runs over the old corpus answer nothing on the new one.
+            traces: TraceCache::new(self.trace_cache),
+            stats,
+            published: Arc::default(),
+        };
+        engine.publish();
+        (engine, timings)
     }
 }
 
@@ -565,6 +735,8 @@ pub struct SelectionEngine {
     artifacts: Artifacts,
     traces: TraceCache,
     stats: EngineStats,
+    /// The snapshot cell this engine shares with its pool slot.
+    pub(crate) published: Arc<Mutex<Published>>,
 }
 
 impl SelectionEngine {
@@ -592,14 +764,35 @@ impl SelectionEngine {
                 num_nodes: graph.num_nodes(),
             });
         }
-        Ok(Self {
+        let engine = Self {
             config,
             graph,
             features,
             artifacts: Artifacts::default(),
             traces: TraceCache::new(true),
             stats: EngineStats::default(),
-        })
+            published: Arc::default(),
+        };
+        engine.publish();
+        Ok(engine)
+    }
+
+    /// Replaces the published snapshot with the engine's current state.
+    /// O(1): the table clones `Arc`s and the byte count reads lengths.
+    fn publish(&self) {
+        let fresh = Published {
+            config: self.config,
+            artifacts: self.artifacts.clone(),
+            stats: self.stats,
+            trace_cache: self.traces.enabled,
+            bytes: self.artifact_bytes(),
+        };
+        // Publication is one assignment, so a poisoned cell is whole. The
+        // stale snapshot drops after the unlock, so an artifact the engine
+        // released is freed outside the cell's lock.
+        let mut cell = self.published.lock().unwrap_or_else(PoisonError::into_inner);
+        let _stale = std::mem::replace(&mut *cell, fresh);
+        drop(cell);
     }
 
     /// The active configuration.
@@ -658,11 +851,12 @@ impl SelectionEngine {
         let key = Stage::Propagation.key(&self.config);
         let ladder = Vec::new();
         self.artifacts.propagation = Some((key, Arc::new(Propagated { value, ladder })));
+        self.publish();
     }
 
     /// The held `X^(k)` if it is `kernel`'s — computes nothing on a miss.
-    /// Siblings over the same corpus use this to seed each other via
-    /// [`SelectionEngine::seed_propagated`].
+    /// A private companion engine over the same corpus seeds itself from
+    /// it via [`SelectionEngine::seed_propagated`].
     pub fn propagated_if_cached(&self, kernel: Kernel) -> Option<Arc<DenseMatrix>> {
         self.artifacts
             .propagation
@@ -691,38 +885,40 @@ impl SelectionEngine {
 
     /// Fills the stage slots of a fresh engine for its active config, in
     /// cost order: `sibling` (another resident engine's `X^(k)` for the
-    /// active kernel) beats the store's `X^(k)`; the store supplies the
-    /// other persisted stages. Every load is best-effort: a miss, a
-    /// corrupt file (counted in `StoreStats`) or a shape mismatch leaves
-    /// that stage to its cold build, and a validated hit is adopted
+    /// active kernel, ladder included) beats the store's `X^(k)`; the
+    /// store supplies the other persisted stages. Both go through one
+    /// [`Artifacts::adopt`]. Every load is best-effort: a miss, a corrupt
+    /// file (counted in `StoreStats`) or a shape mismatch leaves that
+    /// stage to its cold build, and a validated hit is adopted
     /// bit-identically.
     pub(crate) fn adopt(
         &mut self,
-        sibling: Option<Arc<DenseMatrix>>,
+        sibling: Option<Arc<Propagated>>,
         store: Option<&ArtifactStore>,
         graph_fingerprint: u64,
         epoch: u64,
     ) {
-        if let Some(value) = sibling {
-            self.seed_propagated(value);
+        let (n, d, kernel) = (self.graph.num_nodes(), self.features.cols(), self.config.kernel);
+        if let Some(p) = sibling {
+            let key = Stage::Propagation.key(&self.config);
+            self.artifacts.adopt(key, Payload::Propagation(p), n, d, kernel);
         }
-        let Some(store) = store else {
-            return;
-        };
-        let addr = self.address(graph_fingerprint, epoch);
-        let (n, d) = (self.graph.num_nodes(), self.features.cols());
-        for stage in Stage::ALL {
-            let key = stage.key(&self.config);
-            let Some(kind) = stage.kind() else {
-                continue;
-            };
-            if self.artifacts.key(stage) == Some(key) {
-                continue; // a sibling's X^(k)
-            }
-            if let Ok(Some(payload)) = store.load_payload(&addr, kind) {
-                self.artifacts.adopt(key, payload, n, d, self.config.kernel);
+        if let Some(store) = store {
+            let addr = self.address(graph_fingerprint, epoch);
+            for stage in Stage::ALL {
+                let key = stage.key(&self.config);
+                let Some(kind) = stage.kind() else {
+                    continue;
+                };
+                if self.artifacts.key(stage) == Some(key) {
+                    continue; // a sibling's X^(k)
+                }
+                if let Ok(Some(payload)) = store.load_payload(&addr, kind) {
+                    self.artifacts.adopt(key, payload, n, d, kernel);
+                }
             }
         }
+        self.publish();
     }
 
     /// The active-config stages that `built` counts as (re)built — a
@@ -793,6 +989,7 @@ impl SelectionEngine {
         if !enabled {
             self.traces.last = None;
         }
+        self.publish();
     }
 
     /// Exact resident heap bytes of every currently cached artifact —
@@ -1093,6 +1290,7 @@ impl SelectionEngine {
                     exhausted: picked < longest,
                     trace,
                 });
+                self.publish();
             }
         }
         Ok(outcomes)
@@ -1123,148 +1321,6 @@ impl SelectionEngine {
         self.artifacts.rows.ensured()
     }
 
-    /// Derives an engine over the mutated corpus `(graph, features)` by
-    /// patching this engine's cached artifacts instead of rebuilding them
-    /// — the streaming fast path behind
-    /// [`crate::service::GrainService::apply_update`].
-    ///
-    /// `dirty_transition` / `dirty_propagation` / `dirty_influence` are
-    /// sorted supersets of the transition rows, `X^(k)` rows, and
-    /// influence rows whose values can differ between the old and mutated
-    /// corpus (see [`crate::streaming`] for the dirty-set math). Per
-    /// artifact:
-    ///
-    /// * **transition** — dirty rows recomputed row-locally via
-    ///   [`grain_graph::transition_rows`] (bit-identical float path) and
-    ///   spliced into the stale matrix with
-    ///   [`CsrMatrix::with_replaced_rows`]; rebuilt cold only when no
-    ///   transition of the right kind is cached;
-    /// * **propagation** — dirty rows re-propagated level-locally via
-    ///   [`grain_prop::propagate::repropagate_rows_laddered`] against the
-    ///   donor's power ladder (`O(k · |dirty|)` SpMM rows over
-    ///   `parallelism` workers), clean rows `memcpy`d; a donor without a
-    ///   fitting ladder repairs through the reverse cone
-    ///   ([`grain_prop::repropagate_rows`]);
-    /// * **embedding** — clean rows `memcpy`d from the old embedding
-    ///   (their `X^(k)` rows are bit-identical, so their normalizations
-    ///   are too), dirty rows re-normalized with the same per-row op as
-    ///   the full pass ([`grain_linalg::ops::l2_normalize_row`]);
-    /// * **influence rows** — dirty rows re-walked via
-    ///   [`InfluenceRows::with_rebuilt_rows`], clean row slices spliced;
-    /// * **activation index** — inverted entries of dirty rows swapped via
-    ///   [`ActivationIndex::repaired`];
-    /// * **ball lists / NN `d_max`** — dropped (rebuilt lazily on the next
-    ///   select that needs them).
-    ///
-    /// Only artifacts held under the *active* config are migrated; slots
-    /// holding an earlier config's artifact are dropped. Callers must not
-    /// invoke this for triangle-induced kernels (a single edge edit can
-    /// dirty every triangle count, so those engines rebuild cold).
-    pub(crate) fn patched(
-        &self,
-        graph: Arc<Graph>,
-        features: Arc<DenseMatrix>,
-        dirty_transition: &[u32],
-        dirty_propagation: &[u32],
-        dirty_influence: &[u32],
-    ) -> (SelectionEngine, PatchTimings) {
-        let config = self.config;
-        let kind = config.kernel.transition_kind();
-        debug_assert_ne!(
-            kind,
-            TransitionKind::TriangleInduced,
-            "triangle-induced engines are rebuilt cold, not patched"
-        );
-        let threads = config.parallelism;
-        let (old, mut new) = (&self.artifacts, Artifacts::default());
-        let mut stats = self.stats;
-        let mut spent = [Duration::ZERO; Stage::COUNT];
-        for stage in Stage::ALL {
-            let key = stage.key(&config);
-            let start = Instant::now();
-            match stage {
-                Stage::Transition => {
-                    let t = match old.transition.held(key) {
-                        Some(t_old) => t_old.with_replaced_rows(&transition_rows(
-                            &graph,
-                            kind,
-                            true,
-                            dirty_transition,
-                        )),
-                        None => transition_matrix(&graph, kind, true),
-                    };
-                    new.transition = Some((key, Arc::new(t)));
-                }
-                Stage::Propagation => {
-                    let Some(p) = old.propagation.held(key) else {
-                        continue;
-                    };
-                    let t = new.transition.ensured();
-                    let p = p.repaired(t, config.kernel, &features, dirty_propagation, threads);
-                    new.propagation = Some((key, Arc::new(p)));
-                }
-                Stage::Embedding => {
-                    let (Some(e), Some((_, p))) = (old.embedding.held(key), &new.propagation)
-                    else {
-                        continue;
-                    };
-                    // Clean rows keep their bits; dirty rows are
-                    // re-normalized with the full pass's per-row op.
-                    let mut e = (**e).clone();
-                    for &v in dirty_propagation {
-                        let row = e.row_mut(v as usize);
-                        row.copy_from_slice(p.value.row(v as usize));
-                        grain_linalg::ops::l2_normalize_row(row);
-                    }
-                    new.embedding = Some((key, Arc::new(e)));
-                }
-                Stage::Rows => {
-                    let Some(rows) = old.rows.held(key) else {
-                        continue;
-                    };
-                    let rows = rows.with_rebuilt_rows(
-                        new.transition.ensured(),
-                        config.kernel,
-                        config.influence_eps,
-                        config.influence_row_top_k,
-                        dirty_influence,
-                        threads,
-                    );
-                    new.rows = Some((key, Arc::new(rows)));
-                }
-                Stage::Index => {
-                    let (Some(index), Some((_, rows))) = (old.index.held(key), &new.rows) else {
-                        continue;
-                    };
-                    let index = index.repaired(rows, config.theta, dirty_influence);
-                    new.index = Some((key, Arc::new(index)));
-                }
-                // Rebuilt lazily by the next select that needs them.
-                Stage::Balls | Stage::NnDmax => continue,
-            }
-            spent[stage as usize] = start.elapsed();
-            *stage.counter(&mut stats) += 1;
-        }
-        let at = |stage: Stage| spent[stage as usize];
-        let timings = PatchTimings {
-            transition: at(Stage::Transition),
-            propagation: at(Stage::Propagation),
-            embedding: at(Stage::Embedding),
-            influence: at(Stage::Rows),
-            index: at(Stage::Index),
-        };
-        let engine = SelectionEngine {
-            config,
-            graph,
-            features,
-            artifacts: new,
-            // Runs over the old corpus answer nothing on the new one.
-            traces: TraceCache::new(self.traces.enabled),
-            stats,
-        };
-        (engine, timings)
-    }
-
     /// Builds each of `stages` (in order, each after the stages it is
     /// built from) whose slot does not hold the active config's key, and
     /// returns each build's wall time by stage. A build that observes `cancel` caches nothing and bumps no
@@ -1288,6 +1344,7 @@ impl SelectionEngine {
             self.build(stage, key, cancel)?;
             spent[stage as usize] = start.elapsed();
             *stage.counter(&mut self.stats) += 1;
+            self.publish();
         }
         Ok(spent)
     }
@@ -1883,11 +1940,13 @@ mod tests {
         (Arc::new(edited), dirty)
     }
 
-    /// `engine` patched onto `graph` (same features) under `dirty`.
+    /// `engine`'s published snapshot patched onto `graph` (same
+    /// features) under `dirty`.
     fn patch(engine: &SelectionEngine, graph: &Arc<Graph>, dirty: &DirtySets) -> SelectionEngine {
         let features = engine.features_arc();
         let (dt, dp, di) = (&dirty.transition, &dirty.propagation, &dirty.influence);
-        engine.patched(Arc::clone(graph), features, dt, dp, di).0
+        let published = engine.published.lock().unwrap().clone();
+        published.patched(Arc::clone(graph), features, dt, dp, di).0
     }
 
     #[test]
@@ -1948,15 +2007,13 @@ mod tests {
             .save_propagation(&loaded.address(7, 0), &value, &[&level])
             .unwrap();
         loaded.adopt(None, Some(&store), 7, 0);
-        // Adopted with levels of the wrong shape.
+        // Adopted from a sibling with levels of the wrong shape.
         let mut misshaped = SelectionEngine::new(cfg, &g, &x).unwrap();
         let wide = Propagated {
             value: Arc::clone(&value),
             ladder: vec![DenseMatrix::zeros(n, d + 1); 2],
         };
-        let key = Stage::Propagation.key(&cfg);
-        let payload = Payload::Propagation(Arc::new(wide));
-        misshaped.artifacts.adopt(key, payload, n, d, cfg.kernel);
+        misshaped.adopt(Some(Arc::new(wide)), None, 0, 0);
 
         for (name, engine) in [
             ("seeded", seeded),

@@ -40,13 +40,12 @@
 //! config later becomes; [`EngineCheckout`] states what that means for a
 //! caller that re-keys one.
 
-use crate::engine::SelectionEngine;
+use crate::engine::{Propagated, Published, SelectionEngine};
 use crate::error::{GrainError, GrainResult};
-use grain_linalg::DenseMatrix;
 use std::collections::{HashMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// What happened in the [`EnginePool`] when a request was routed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,10 +91,10 @@ pub struct PoolStats {
     /// age them out.
     pub epoch_reclaims: usize,
     /// Total bytes of artifact state resident across pooled engines, as
-    /// of each engine's most recent completed request (a checkout
-    /// re-measures its engine when it returns to the pool). Evicted
-    /// engines leave the count immediately; an engine mid-build counts
-    /// nothing until its first request completes.
+    /// of each engine's most recent completed request (a checkout records
+    /// its engine's published byte count when it returns to the pool).
+    /// Evicted engines leave the count immediately; an engine mid-build
+    /// counts nothing until its first request completes.
     pub resident_bytes: usize,
 }
 
@@ -137,7 +136,7 @@ impl PoolCounters {
     /// clear). Zeroing the slot's own record makes the release idempotent
     /// and keeps a still-checked-out handle from later applying a delta
     /// against a count the pool no longer carries. Callers hold the
-    /// slot's shard lock, so the swap cannot race a re-measure.
+    /// slot's shard lock, so the swap cannot race a record.
     fn release_slot(&self, slot: &EngineSlot) {
         let recorded = slot.recorded_bytes.swap(0, Ordering::Relaxed);
         self.resident_bytes.fetch_sub(recorded, Ordering::Relaxed);
@@ -182,23 +181,33 @@ pub(crate) struct PoolKey {
 const EVICTED_KEY_MEMORY_PER_SHARD: usize = 1024;
 
 /// A pooled engine slot: the per-engine lock that serializes same-key
-/// requests, plus the residency record the pool's byte accounting keys
-/// off. `recorded_bytes` is the slot's last measured
+/// requests, the cell the engine publishes its artifact snapshot into,
+/// and the residency record the pool's byte accounting keys off.
+/// `recorded_bytes` is the slot's last recorded
 /// [`SelectionEngine::artifact_bytes`] total **as currently reflected in
-/// [`PoolCounters::resident_bytes`]** — re-measures apply the delta, and
+/// [`PoolCounters::resident_bytes`]** — re-records apply the delta, and
 /// eviction subtracts exactly what was recorded, so the aggregate never
 /// drifts however requests and evictions interleave.
 pub(crate) struct EngineSlot {
-    pub(crate) engine: Mutex<SelectionEngine>,
+    engine: Mutex<SelectionEngine>,
+    published: Arc<Mutex<Published>>,
     recorded_bytes: AtomicUsize,
 }
 
 impl EngineSlot {
     fn new(engine: SelectionEngine) -> Self {
         Self {
+            published: Arc::clone(&engine.published),
             engine: Mutex::new(engine),
             recorded_bytes: AtomicUsize::new(0),
         }
+    }
+
+    /// The engine's last published snapshot, read without waiting on a
+    /// select that holds the engine.
+    pub(crate) fn published(&self) -> MutexGuard<'_, Published> {
+        // Publication is one assignment, so a poisoned cell is whole.
+        self.published.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -332,13 +341,6 @@ fn lock_shard(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn lock_engine(engine: &Mutex<SelectionEngine>) -> MutexGuard<'_, SelectionEngine> {
-    // Engine artifacts are staged: a panicked request may have built
-    // fewer artifacts than it wanted, never a torn one, so the engine
-    // stays servable after poisoning.
-    engine.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A sharded, concurrently usable map of warm [`SelectionEngine`]s.
 ///
 /// Keys hash onto [`EnginePool::num_shards`] mutexed shards; each shard
@@ -425,30 +427,24 @@ impl EnginePool {
         out
     }
 
-    /// Snapshot of the resident keys serving `(graph, epoch)` — the set
-    /// of engines a [`crate::streaming::GraphDelta`] application migrates
-    /// to the next epoch. A snapshot, not a lock: engines built or
-    /// evicted after it are handled by the cold path (they rebuild over
-    /// the new corpus).
-    pub(crate) fn resident_keys_for(&self, graph: &str, epoch: u64) -> Vec<PoolKey> {
+    /// Snapshot of the resident slots serving `(graph, epoch)` — the
+    /// engines a [`crate::streaming::GraphDelta`] application migrates to
+    /// the next epoch, and the siblings a fresh engine adopts `X^(k)`
+    /// from. A snapshot, not a lock: engines built after it are handled by
+    /// the cold path (they rebuild over the new corpus).
+    pub(crate) fn resident_slots_for(&self, graph: &str, epoch: u64) -> Vec<SharedEngine> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = lock_shard(shard);
             out.extend(
                 shard
                     .entries
-                    .keys()
-                    .filter(|k| k.graph == graph && k.epoch == epoch)
-                    .cloned(),
+                    .iter()
+                    .filter(|(k, _)| k.graph == graph && k.epoch == epoch)
+                    .map(|(_, slot)| Arc::clone(slot)),
             );
         }
         out
-    }
-
-    /// The resident slot under `key`, if any (no recency touch).
-    pub(crate) fn get_slot(&self, key: &PoolKey) -> Option<SharedEngine> {
-        let shard = lock_shard(&self.shards[self.shard_of(key)]);
-        shard.entries.get(key).cloned()
     }
 
     /// Inserts a ready-made engine under `key` at the MRU position,
@@ -458,19 +454,15 @@ impl EnginePool {
     /// next-epoch key.
     pub(crate) fn insert_ready(&self, key: PoolKey, engine: SelectionEngine) {
         let bytes = engine.artifact_bytes().total();
-        let slot = Arc::new(EngineSlot::new(engine));
         let mut shard = lock_shard(&self.shards[self.shard_of(&key)]);
         if shard.entries.contains_key(&key) {
             return;
         }
-        shard.insert_mru(
-            key.clone(),
-            Arc::clone(&slot),
-            self.shard_capacity,
-            &self.counters,
-        );
-        drop(shard);
-        self.record_bytes(&key, &slot, bytes);
+        let slot = EngineSlot::new(engine);
+        slot.recorded_bytes.store(bytes, Ordering::Relaxed);
+        self.counters.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let (capacity, counters) = (self.shard_capacity, &self.counters);
+        shard.insert_mru(key, Arc::new(slot), capacity, counters);
     }
 
     /// Removes every resident engine serving `graph` at an epoch older
@@ -515,53 +507,32 @@ impl EnginePool {
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    /// The cached `X^(k)` under `kernel` from any resident engine serving
-    /// `graph` at corpus `epoch`, if one holds it *and* is not busy.
+    /// The `X^(k)` under `kernel`, power ladder included, that any
+    /// resident engine serving `graph` at corpus `epoch` has published.
     /// Engines are keyed by the full artifact fingerprint (kernel, θ, ε,
     /// r), but `X^(k)` depends on the kernel alone — a new engine for
-    /// another fingerprint of the same graph **and epoch** seeds from a
-    /// sibling instead of re-propagating. The epoch filter is what keeps
-    /// a post-update build from adopting a pre-update `X^(k)`.
-    /// Busy siblings are skipped (`try_lock`), trading an occasional
-    /// re-propagation for never blocking a build on a foreign request.
+    /// another fingerprint of the same graph **and epoch** adopts a
+    /// sibling's instead of re-propagating, and patches it level-locally
+    /// after a delta. The epoch filter is what keeps a post-update build
+    /// from adopting a pre-update `X^(k)`. Reads published snapshots only,
+    /// so a sibling busy with a select still donates.
     pub(crate) fn cached_propagation(
         &self,
         graph: &str,
         epoch: u64,
         kernel: grain_prop::Kernel,
-    ) -> Option<Arc<DenseMatrix>> {
-        for shard in &self.shards {
-            let candidates: Vec<SharedEngine> = {
-                let shard = lock_shard(shard);
-                shard
-                    .entries
-                    .iter()
-                    .filter(|(key, _)| key.graph == graph && key.epoch == epoch)
-                    .map(|(_, engine)| Arc::clone(engine))
-                    .collect()
-            };
-            for slot in candidates {
-                let found = match slot.engine.try_lock() {
-                    Ok(engine) => engine.propagated_if_cached(kernel),
-                    Err(TryLockError::Poisoned(poisoned)) => {
-                        poisoned.into_inner().propagated_if_cached(kernel)
-                    }
-                    Err(TryLockError::WouldBlock) => None,
-                };
-                if found.is_some() {
-                    return found;
-                }
-            }
-        }
-        None
+    ) -> Option<Arc<Propagated>> {
+        self.resident_slots_for(graph, epoch)
+            .iter()
+            .find_map(|slot| slot.published().propagation(kernel))
     }
 
-    /// Re-measures a slot's resident artifact bytes into the aggregate.
+    /// Records a slot's resident artifact bytes into the aggregate.
     /// Applied only while the slot is still pooled under `key`: a slot
     /// evicted while checked out was already taken off the books by
     /// [`PoolCounters::release_slot`] and must stay off. Taking the shard
-    /// lock orders the re-measure against eviction, so the aggregate
-    /// cannot drift however the two interleave.
+    /// lock orders the record against eviction, so the aggregate cannot
+    /// drift however the two interleave.
     fn record_bytes(&self, key: &PoolKey, slot: &SharedEngine, total: usize) {
         let shard = lock_shard(&self.shards[self.shard_of(key)]);
         let resident = shard
@@ -680,8 +651,9 @@ impl EnginePool {
 /// callers that sweep configurations should apply
 /// [`SelectionEngine::set_config`] and run their selections under **one**
 /// lock session, so a concurrent request cannot interleave a different
-/// greedy-stage configuration. Dropping the checkout re-measures the
-/// engine's resident bytes into [`PoolStats::resident_bytes`].
+/// greedy-stage configuration. Dropping the checkout records the byte
+/// count the engine last published into [`PoolStats::resident_bytes`],
+/// without waiting on a request that holds the engine.
 ///
 /// # Re-keying
 ///
@@ -709,25 +681,16 @@ impl EngineCheckout<'_> {
     /// Locks the pooled engine for exclusive use. Same-key requests block
     /// until the guard drops; unrelated keys are unaffected.
     pub fn lock(&self) -> MutexGuard<'_, SelectionEngine> {
-        lock_engine(&self.engine.engine)
-    }
-
-    /// Records `total` as the engine's resident artifact bytes.
-    pub(crate) fn record_bytes(&self, total: usize) {
-        self.pool.record_bytes(&self.key, &self.engine, total);
+        // Engine artifacts are staged: a panicked request may have built
+        // fewer artifacts than it wanted, never a torn one, so the engine
+        // stays servable after poisoning.
+        self.engine.engine.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Drop for EngineCheckout<'_> {
     fn drop(&mut self) {
-        let bytes = match self.engine.engine.try_lock() {
-            Ok(engine) => engine.artifact_bytes().total(),
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner().artifact_bytes().total(),
-            // The engine is busy (another checkout, or a transient
-            // sibling-X^(k) probe). Skipping leaves the last recorded
-            // figure until that holder's checkout re-measures.
-            Err(TryLockError::WouldBlock) => return,
-        };
-        self.record_bytes(bytes);
+        let bytes = self.engine.published().bytes.total();
+        self.pool.record_bytes(&self.key, &self.engine, bytes);
     }
 }

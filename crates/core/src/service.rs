@@ -710,15 +710,19 @@ impl GrainService {
             None => Vec::new(),
         };
         drop(engine);
-        // Record explicitly while this request still owns the checkout:
-        // the drop-time re-measure is best-effort (it skips when another
-        // same-key request already grabbed the engine), but every report
-        // must land its bytes in the pool aggregate.
-        checkout.record_bytes(artifact_bytes.total());
         drop(checkout);
         if let Some(store) = &self.store {
             for artifact in pending {
                 let _ = store.commit(artifact);
+            }
+        }
+        // A request that took its corpus snapshot before a flip can insert
+        // an engine and commit files after the flip reclaimed that epoch;
+        // reclaim them here. A flip landing after this check does it itself.
+        if self.epoch(&request.graph).is_ok_and(|now| now != epoch) {
+            self.pool.reclaim_stale_epochs(&request.graph, epoch + 1);
+            if let Some(store) = &self.store {
+                store.remove_epoch(graph_fingerprint, epoch);
             }
         }
         Ok(SelectionReport {
@@ -936,6 +940,68 @@ mod tests {
             "the new engine must adopt the sibling's propagation"
         );
         assert_eq!(service.pool().len(), 2);
+    }
+
+    #[test]
+    fn a_busy_sibling_donates_its_propagation_with_the_ladder() {
+        let (g, x) = corpus(120, 1);
+        let (n, d) = x.shape();
+        let service = GrainService::with_capacity(4);
+        service.register_graph("g", g.clone(), x.clone()).unwrap();
+        let a = GrainConfig {
+            kernel: grain_prop::Kernel::RandomWalk { k: 3 },
+            ..GrainConfig::ball_d()
+        };
+        let b = GrainConfig {
+            theta: grain_influence::ThetaRule::RelativeToRowMax(0.5),
+            ..a
+        };
+        service
+            .select(&SelectionRequest::new("g", a, Budget::Fixed(5)))
+            .unwrap();
+        let request = SelectionRequest::new("g", b, Budget::Fixed(6));
+
+        // A is locked on another thread while B is built.
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let shared = &service;
+        let first = std::thread::scope(|s| {
+            s.spawn(move || {
+                let (checkout, _) = shared.engine("g", &a).unwrap();
+                let guard = checkout.lock();
+                held_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                drop(guard);
+            });
+            held_rx.recv().unwrap();
+            let first = service.select(&request).unwrap();
+            release_tx.send(()).unwrap();
+            first
+        });
+        assert_eq!(first.pool_event, PoolEvent::ColdMiss);
+        assert_eq!(first.artifact_builds.propagation_builds, 0);
+        let levels = 3; // the value plus k - 1 ladder levels
+        let value_and_ladder = levels * n * d * std::mem::size_of::<f32>();
+        assert_eq!(first.artifact_bytes.propagation, value_and_ladder);
+
+        // A delta patches B level-locally to a cold build's bits.
+        let (u, v) = (2, 117);
+        assert!(!g.has_edge(u, v));
+        service
+            .apply_update("g", &crate::GraphDelta::new().insert_edge(u as u32, v))
+            .unwrap();
+        let after = service.select(&request).unwrap();
+        assert_eq!(after.pool_event, PoolEvent::Hit);
+        assert_eq!(after.artifact_bytes.propagation, value_and_ladder);
+        let (g2, _) = grain_graph::apply_edge_edits(&g, &[(u as u32, v, 1.0)], &[]).unwrap();
+        let mut cold = SelectionEngine::new(b, &g2, &x).unwrap();
+        let (checkout, _) = service.engine("g", &b).unwrap();
+        assert_eq!(*checkout.lock().propagated(), *cold.propagated());
+        drop(checkout);
+        let all: Vec<u32> = (0..n as u32).collect();
+        let oracle = cold.select(&all, 6);
+        assert_eq!(after.outcome().selected, oracle.selected);
+        assert_eq!(after.outcome().objective_trace, oracle.objective_trace);
     }
 
     #[test]

@@ -42,11 +42,12 @@
 //! # Epochs and concurrency
 //!
 //! Pool keys carry the corpus epoch, so an update never mutates an
-//! artifact a request might be reading: patched engines are inserted
-//! under epoch `e+1` keys, the corpus pointer is swapped, and in-flight
-//! requests holding epoch-`e` checkouts finish on their consistent
-//! snapshot. The flip reclaims every epoch-`e` engine from the pool and
-//! removes epoch `e`'s store files. The scheduler stamps the submit-time
+//! artifact a request might be reading: each engine is patched from the
+//! artifact snapshot it last published, without its lock, the patched
+//! engines are inserted under epoch `e+1` keys, the corpus pointer is
+//! swapped, and in-flight requests holding epoch-`e` checkouts finish on
+//! their consistent snapshot. The flip reclaims every epoch-`e` engine
+//! from the pool and removes epoch `e`'s store files. The scheduler stamps the submit-time
 //! epoch into its coalescing key, so selections racing an update
 //! coalesce only within one corpus version and re-submissions after the
 //! flip run (and re-key) on `e+1`.
@@ -58,7 +59,7 @@ use crate::service::GrainService;
 use grain_graph::{apply_edge_edits, check_weight, k_hop_ball, Graph, TransitionKind};
 use grain_linalg::DenseMatrix;
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, TryLockError};
+use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A batch of structural and feature edits applied atomically to one
@@ -267,14 +268,11 @@ pub struct EpochReport {
     pub edges_deleted: usize,
     /// Feature rows overwritten.
     pub feature_rows_overwritten: usize,
-    /// Engines patched into the new epoch (one entry each).
+    /// Engines patched into the new epoch (one entry each): every resident
+    /// engine of the old epoch, busy or idle, but the triangle-induced.
     pub patched: Vec<PatchSummary>,
-    /// Resident engines skipped because another request held their lock;
-    /// the flip reclaims them with the rest of the old epoch, and the
-    /// next request rebuilds them over the new corpus.
-    pub engines_skipped_busy: usize,
-    /// Triangle-induced engines skipped (a single edge edit can dirty
-    /// every triangle count, so they rebuild cold on next use).
+    /// Triangle-induced engines skipped, the only skip (a single edge edit
+    /// can dirty every triangle count, so they rebuild cold on next use).
     pub engines_skipped_triangle: usize,
     /// Wall time spent splicing the graph/features snapshot.
     pub splice_time: Duration,
@@ -303,8 +301,9 @@ impl EpochReport {
 
 impl GrainService {
     /// Applies `delta` to the registered corpus `graph_id`, advancing it
-    /// one epoch and migrating every idle resident engine by patching its
-    /// cached artifacts in place of a cold rebuild.
+    /// one epoch and migrating every resident engine, busy or idle, by
+    /// patching the artifact snapshot it last published (never waiting on
+    /// its lock) in place of a cold rebuild.
     ///
     /// The patched artifacts are **byte-identical** to what a cold build
     /// over the mutated corpus would produce (see the module docs), so
@@ -362,84 +361,59 @@ impl GrainService {
         let splice_time = t0.elapsed();
 
         // Migrate resident engines: per engine, compute (or reuse) the
-        // dirty sets for its (transition kind, depth) and park the
-        // patched engine under the next epoch's key. `try_lock` keeps
-        // the update from ever blocking behind a long selection — a busy
-        // engine simply stays behind on the old epoch and rebuilds cold
-        // on its next use.
+        // dirty sets for its (transition kind, depth), patch the snapshot
+        // the engine last published and park the patched engine under the
+        // next epoch's key. A select running on the engine keeps its lock
+        // and finishes on the old epoch.
         let t1 = Instant::now();
         let mut dirty_cache: HashMap<(TransitionKind, usize), DirtySets> = HashMap::new();
         let mut patched = Vec::new();
         let mut pending: Vec<crate::store::PendingArtifact> = Vec::new();
-        let mut skipped_busy = 0usize;
         let mut skipped_triangle = 0usize;
-        for key in self.pool.resident_keys_for(graph_id, from_epoch) {
-            let Some(slot) = self.pool.get_slot(&key) else {
-                continue; // evicted since the snapshot
-            };
-            let migrated = {
-                let engine = match slot.engine.try_lock() {
-                    Ok(engine) => engine,
-                    Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-                    Err(TryLockError::WouldBlock) => {
-                        skipped_busy += 1;
-                        continue;
-                    }
-                };
-                let kernel = engine.config().kernel;
-                if kernel.transition_kind() == TransitionKind::TriangleInduced {
-                    skipped_triangle += 1;
-                    None
-                } else {
-                    let shape = (kernel.transition_kind(), kernel.steps());
-                    let dirty = dirty_cache.entry(shape).or_insert_with(|| {
-                        DirtySets::compute(&new_graph, shape.0, shape.1, &endpoints, &feature_seeds)
-                    });
-                    let (next, timings) = engine.patched(
-                        Arc::clone(&new_graph),
-                        Arc::clone(&new_features),
-                        &dirty.transition,
-                        &dirty.propagation,
-                        &dirty.influence,
-                    );
-                    let built = next.stats().delta_since(&engine.stats());
-                    Some((
-                        next,
-                        built,
-                        timings,
-                        dirty.propagation.len(),
-                        dirty.influence.len(),
-                    ))
-                }
-            };
-            if let Some((next, built, timings, dirty_propagation, dirty_influence)) = migrated {
-                // The patched engine is re-keyed by its own active config,
-                // which may differ from the key it sat under (a checkout
-                // can re-key an engine through `set_config`). Its patched
-                // artifacts are re-persisted under the new epoch's address
-                // — patched ≡ cold-over-mutated-graph byte-for-byte, so
-                // the store stays warm across the flip. Taken here as
-                // shared handles (we own `next`), encoded and written
-                // after the corpus pointer flips.
-                let fingerprint = next.config().artifact_fingerprint();
-                if self.store.is_some() {
-                    pending.extend(next.pending_built(&built, new_fingerprint, from_epoch + 1));
-                }
-                self.pool.insert_ready(
-                    PoolKey {
-                        graph: key.graph,
-                        epoch: from_epoch + 1,
-                        fingerprint: fingerprint.clone(),
-                    },
-                    next,
-                );
-                patched.push(PatchSummary {
-                    fingerprint,
-                    dirty_propagation,
-                    dirty_influence,
-                    timings,
-                });
+        for slot in self.pool.resident_slots_for(graph_id, from_epoch) {
+            let published = slot.published().clone();
+            let kernel = published.config.kernel;
+            if kernel.transition_kind() == TransitionKind::TriangleInduced {
+                skipped_triangle += 1;
+                continue;
             }
+            let shape = (kernel.transition_kind(), kernel.steps());
+            let dirty = dirty_cache.entry(shape).or_insert_with(|| {
+                DirtySets::compute(&new_graph, shape.0, shape.1, &endpoints, &feature_seeds)
+            });
+            let (next, timings) = published.patched(
+                Arc::clone(&new_graph),
+                Arc::clone(&new_features),
+                &dirty.transition,
+                &dirty.propagation,
+                &dirty.influence,
+            );
+            let built = next.stats().delta_since(&published.stats);
+            // The patched engine is re-keyed by its own config, which may
+            // differ from the key it sat under (a checkout can re-key an
+            // engine through `set_config`). Its patched artifacts are
+            // re-persisted under the new epoch's address — patched ≡
+            // cold-over-mutated-graph byte-for-byte, so the store stays
+            // warm across the flip. Taken here as shared handles (we own
+            // `next`), encoded and written after the corpus pointer flips.
+            let fingerprint = next.config().artifact_fingerprint();
+            if self.store.is_some() {
+                pending.extend(next.pending_built(&built, new_fingerprint, from_epoch + 1));
+            }
+            self.pool.insert_ready(
+                PoolKey {
+                    graph: graph_id.to_string(),
+                    epoch: from_epoch + 1,
+                    fingerprint: fingerprint.clone(),
+                },
+                next,
+            );
+            patched.push(PatchSummary {
+                fingerprint,
+                dirty_propagation: dirty.propagation.len(),
+                dirty_influence: dirty.influence.len(),
+                timings,
+            });
         }
         let patch_time = t1.elapsed();
 
@@ -464,7 +438,6 @@ impl GrainService {
             edges_deleted: delta.num_deletes(),
             feature_rows_overwritten: delta.num_feature_rows(),
             patched,
-            engines_skipped_busy: skipped_busy,
             engines_skipped_triangle: skipped_triangle,
             splice_time,
             patch_time,
@@ -589,7 +562,6 @@ mod tests {
         assert_eq!((report.from_epoch, report.epoch), (0, 1));
         assert_eq!(service.epoch("g").unwrap(), 1);
         assert_eq!(report.engines_patched(), 1);
-        assert_eq!(report.engines_skipped_busy, 0);
         assert!(report.max_dirty_propagation() > 0);
 
         // The patched engine answers the post-update request warm: no
@@ -598,6 +570,98 @@ mod tests {
         assert_eq!(after.pool_event, crate::pool::PoolEvent::Hit);
         assert_eq!(after.artifact_builds.propagation_builds, 0);
         assert_eq!(after.artifact_builds.influence_builds, 0);
+    }
+
+    /// Runs `body` while another thread holds the lock of the engine
+    /// `service.engine(graph, config)` checks out.
+    fn with_engine_held<R>(
+        service: &GrainService,
+        graph: &str,
+        config: &GrainConfig,
+        body: impl FnOnce() -> R,
+    ) -> R {
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let (checkout, _) = service.engine(graph, config).unwrap();
+                let guard = checkout.lock();
+                held_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                drop(guard);
+            });
+            held_rx.recv().unwrap();
+            let out = body();
+            release_tx.send(()).unwrap();
+            out
+        })
+    }
+
+    #[test]
+    fn a_busy_engine_is_patched_from_its_published_snapshot() {
+        let (g, x) = corpus(150, 9);
+        let delta = GraphDelta::new().insert_edge(1, 140).delete_edge_of(&g);
+        // No diversity term: a patch migrates every stage this config
+        // reads, so the first request after it builds nothing.
+        let config = GrainConfig {
+            variant: crate::config::GrainVariant::NoDiversity,
+            ..GrainConfig::ball_d()
+        };
+        let request = SelectionRequest::new("g", config, Budget::Fixed(8));
+        let service = GrainService::with_capacity(4);
+        service.register_graph("g", g.clone(), x.clone()).unwrap();
+        service.select(&request).unwrap();
+
+        let report = with_engine_held(&service, "g", &config, || {
+            service.apply_update("g", &delta).unwrap()
+        });
+        assert_eq!(report.engines_patched(), 1, "the held engine is patched");
+
+        let after = service.select(&request).unwrap();
+        assert_eq!(after.pool_event, crate::pool::PoolEvent::Hit);
+        assert_eq!(after.artifact_builds.total_builds(), 0);
+        let (g2, _) = apply_edge_edits(&g, &delta.inserts, &delta.deletes).unwrap();
+        let cold = GrainService::with_capacity(1);
+        cold.register_graph("g", g2, x).unwrap();
+        let cold = cold.select(&request).unwrap();
+        assert_eq!(after.outcome().selected, cold.outcome().selected);
+        assert_eq!(after.outcome().objective_trace, cold.outcome().objective_trace);
+    }
+
+    #[test]
+    fn late_commits_leave_no_superseded_files_or_engines() {
+        // B snapshots epoch 0, waits on A's lock while the corpus flips
+        // to epoch 1, then builds and commits epoch-0 artifacts.
+        let (g, x) = corpus(150, 4);
+        let scratch = crate::store::ScratchDir::new("late-commit");
+        let service = GrainService::with_capacity(4)
+            .with_artifact_store(scratch.path())
+            .unwrap();
+        service.register_graph("g", g, x).unwrap();
+        let config = GrainConfig::ball_d();
+        let request = SelectionRequest::new("g", config, Budget::Fixed(6));
+        let delta = GraphDelta::new().insert_edge(0, 100);
+        std::thread::scope(|s| {
+            with_engine_held(&service, "g", &config, || {
+                let hits = service.pool_stats().hits;
+                let reader = s.spawn(|| service.select(&request).unwrap());
+                while service.pool_stats().hits == hits {
+                    std::thread::yield_now();
+                }
+                service.apply_update("g", &delta).unwrap();
+                reader
+            })
+            .join()
+            .unwrap();
+        });
+        assert_eq!(service.epoch("g").unwrap(), 1);
+        let stale: Vec<String> = std::fs::read_dir(scratch.path())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains("-e0-"))
+            .collect();
+        assert!(stale.is_empty(), "epoch-0 files left: {stale:?}");
+        assert!(service.pool().keys().iter().all(|(_, epoch, _)| *epoch == 1));
     }
 
     #[test]
